@@ -153,14 +153,9 @@ def s_action(parts: Partition, i: int, k: int) -> Partition:
 def u_action(parts: Partition, i: int, k: int) -> Optional[Partition]:
     """Nil generator u_i on a (k+1)-core: add all addable corners of
     residue i, or None (the zero of the module) if there are none."""
-    add = [c for c in addable_corners(parts) if content(*c, k) == i]
-    rem = [c for c in removable_corners(parts) if content(*c, k) == i]
-    assert not (add and rem), (parts, i, k)
-    if not add:
-        return None
-    result = _add_cells(parts, add)
-    assert is_core(result, k), (parts, i, k, result)
-    return result
+    result = s_action(parts, i, k)
+    # adding cells grows the first row that changes; removing shrinks it
+    return result if result > parts else None
 
 
 def apply_word(parts: Partition, word: Sequence[int], k: int) -> Partition:

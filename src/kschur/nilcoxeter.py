@@ -30,7 +30,7 @@ from .cores import (
     k_bounded_partitions,
     w_of_partition,
 )
-from .reports import Check, Report
+from .reports import Check, IdentityError, Report
 
 
 def basis_times_generator(
@@ -260,15 +260,13 @@ def act_on_core(
     return {kappa: c for kappa, c in out.items() if c}
 
 
-_memo: dict[tuple[int, Partition], AlgebraElement] = {}
-_memo_h: dict[tuple[int, Partition], dict[Partition, int]] = {}
+_memo: dict[tuple[int, Partition], tuple[AlgebraElement, dict[Partition, int]]] = {}
 _memo_lock = threading.Lock()
 
 
 def clear_memo() -> None:
     with _memo_lock:
         _memo.clear()
-        _memo_h.clear()
 
 
 def _validated(k: int, lam: Sequence[int]) -> Partition:
@@ -287,65 +285,52 @@ def kschur(k: int, lam: Sequence[int]) -> AlgebraElement:
     h_{lam_1} ... h_{lam_l} determines its own expansion into k-Schur
     functions and the leading term can be solved for recursively.
     """
-    return _kschur(k, _validated(k, lam), frozenset())
-
-
-def _kschur(k: int, lam: Partition, active: frozenset) -> AlgebraElement:
-    key = (k, lam)
-    got = _memo.get(key)
-    if got is not None:
-        return got
-    # a cycle would mean the triangularity of the h-to-kschur change of
-    # basis failed, i.e. an implementation bug
-    assert key not in active, f"cyclic dependency at {key}"
-    active = active | {key}
-    if not lam:
-        result = AlgebraElement.unit(k)
-    else:
-        hprod = h_product(k, lam)
-        assert hprod.coefficient(w_of_partition(lam, k)) == 1, lam
-        result = hprod
-        for nu in k_bounded_partitions(sum(lam), k):
-            if nu == lam:
-                continue
-            c = hprod.coefficient(w_of_partition(nu, k))
-            if c:
-                result = result - c * _kschur(k, nu, active)
-    with _memo_lock:
-        _memo.setdefault(key, result)
-    return result
+    return _solve(k, _validated(k, lam))[0]
 
 
 def kschur_h_expansion(k: int, lam: Sequence[int]) -> dict[Partition, int]:
     """Coefficients of the k-Schur function on the products of h's:
     summing coeff * h_product(k, mu) over the returned map gives
     kschur(k, lam)."""
-    return dict(_kschur_h(k, _validated(k, lam), frozenset()))
+    return dict(_solve(k, _validated(k, lam))[1])
 
 
-def _kschur_h(k: int, lam: Partition, active: frozenset) -> dict[Partition, int]:
+def _solve(k: int, lam: Partition) -> tuple[AlgebraElement, dict[Partition, int]]:
+    """The k-Schur function of lam together with its h-expansion.
+
+    h_lam is the k-Schur function of lam plus c times that of each nu
+    before lam in decreasing lex order, where c is the coefficient of
+    u(w_nu) in h_lam; subtracting those leaves the k-Schur function.
+    By triangularity the coefficient is 1 on w_lam and 0 on every w_nu
+    after lam, which is checked.  The recursion only visits partitions
+    before lam, so it ends.
+    """
     key = (k, lam)
-    got = _memo_h.get(key)
+    got = _memo.get(key)
     if got is not None:
         return got
-    assert key not in active, f"cyclic dependency at {key}"
-    active = active | {key}
-    if not lam:
-        result = {(): 1}
-    else:
-        hprod = h_product(k, lam)
-        acc = {lam: 1}
-        for nu in k_bounded_partitions(sum(lam), k):
-            if nu == lam:
-                continue
-            c = hprod.coefficient(w_of_partition(nu, k))
-            if c:
-                for mu, d in _kschur_h(k, nu, active).items():
-                    acc[mu] = acc.get(mu, 0) - c * d
-        result = {mu: d for mu, d in acc.items() if d}
+    hprod = h_product(k, lam)
+    partitions = k_bounded_partitions(sum(lam), k)
+    at = partitions.index(lam)
+    for nu in partitions[at:]:
+        c = hprod.coefficient(w_of_partition(nu, k))
+        if c != (nu == lam):
+            raise IdentityError(
+                f"h_{lam} at k={k} has coefficient {c} on w_{nu}, expected {int(nu == lam)}"
+            )
+    terms = dict(hprod._terms)
+    expansion = {lam: 1}
+    for nu in partitions[:at]:
+        c = hprod.coefficient(w_of_partition(nu, k))
+        if c:
+            element, nu_expansion = _solve(k, nu)
+            for w, d in element._terms.items():
+                terms[w] = terms.get(w, 0) - c * d
+            for mu, d in nu_expansion.items():
+                expansion[mu] = expansion.get(mu, 0) - c * d
+    result = (AlgebraElement(k, terms), {mu: d for mu, d in expansion.items() if d})
     with _memo_lock:
-        _memo_h.setdefault(key, result)
-    return result
+        return _memo.setdefault(key, result)
 
 
 def negative_terms(elem: AlgebraElement) -> dict[AffinePermutation, int]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Sequence
 
 from .affine import AffinePermutation
@@ -52,7 +53,7 @@ from .nilcoxeter import (
     kschur,
     negative_terms,
 )
-from .reports import Check, Report
+from .reports import Check, IdentityError, Report
 
 
 @dataclass(frozen=True)
@@ -207,23 +208,19 @@ def act_on_partition(rect: Rectangle, lam: Sequence[int]) -> Partition:
     k = rect.k
     lam = as_partition(lam)
     image = act_on_core(by_readings(rect), bounded_to_core(lam, k))
-    assert len(image) == 1, (rect, lam, image)
+    if len(image) != 1:
+        raise IdentityError(f"{rect} on {lam}: {len(image)} terms survive, expected 1: {image}")
     (core, coeff), = image.items()
-    assert coeff == 1, (rect, lam, image)
+    if coeff != 1:
+        raise IdentityError(f"{rect} on {lam}: coefficient {coeff}, expected 1")
     expected = bounded_to_core(union_partitions(lam, rect.partition()), k)
-    assert core == expected, (rect, lam, core, expected)
+    if core != expected:
+        raise IdentityError(f"{rect} on {lam}: core {core}, expected {expected}")
     return core
 
 
 def all_rectangles(k: int) -> list[Rectangle]:
     return [Rectangle.with_rows(k, rows) for rows in range(1, k + 1)]
-
-
-def _binomial(n: int, t: int) -> int:
-    out = 1
-    for d in range(1, t + 1):
-        out = out * (n - d + 1) // d
-    return out
 
 
 def verify_equivalences(kmax: int) -> Report:
@@ -237,7 +234,7 @@ def verify_equivalences(kmax: int) -> Report:
             y = by_translations(rect)
             z = by_columns(rect)
             w = by_windows(rect)
-            expected = _binomial(k + 1, rect.cols)
+            expected = comb(k + 1, rect.cols)
             ok = x == y == z == w and len(x) == expected
             checks.append(
                 Check(
@@ -291,7 +288,7 @@ def verify_main(rect: Rectangle, action_size: int = 4) -> Report:
             count += 1
             try:
                 act_on_partition(rect, lam)
-            except AssertionError:
+            except IdentityError:
                 failures.append(list(lam))
     checks.append(
         Check(

@@ -5,6 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+class IdentityError(Exception):
+    """An identity the theory guarantees failed to hold in a computation.
+
+    Raised explicitly rather than by assert, so the check also runs
+    under python -O."""
+
+
 @dataclass(frozen=True)
 class Check:
     name: str

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
 
+from kschur import nilcoxeter
 from kschur.affine import AffinePermutation
 from kschur.cores import bounded_to_core, k_bounded_partitions
 from kschur.nilcoxeter import (
@@ -310,6 +312,20 @@ def test_kschur_h_expansion_reassembles():
         for mu, coeff in expansion.items():
             total = total + coeff * h_product(k, mu)
         assert total == kschur(k, lam), (k, lam)
+
+
+def test_kschur_and_h_expansion_share_one_solve(monkeypatch):
+    calls = Counter()
+
+    def counting(k, mu):
+        calls[(k, tuple(mu))] += 1
+        return h_product(k, mu)
+
+    monkeypatch.setattr(nilcoxeter, "h_product", counting)
+    nilcoxeter.clear_memo()
+    kschur(4, (2, 2, 2))
+    kschur_h_expansion(4, (2, 2, 2))
+    assert calls and set(calls.values()) == {1}, calls
 
 
 def test_pieri_partitions_match_product():

@@ -1,0 +1,72 @@
+"""Identity checks that must hold under python -O, where assert is gone.
+
+Each script breaks one input of a check on purpose and runs in a fresh
+interpreter, with and without -O; the check must report the failure
+either way."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# h_{(2,1)} at k=3 gains a term on w_{(1,1,1)}, a partition after (2,1)
+# in lex order, which no k-Schur function below (2,1) can carry
+STRAY_TERM = """
+from kschur import nilcoxeter
+from kschur.cores import w_of_partition
+from kschur.reports import IdentityError
+
+real = nilcoxeter.h_product
+
+def h_product(k, mu):
+    x = real(k, mu)
+    if (k, tuple(mu)) == (3, (2, 1)):
+        x = x + nilcoxeter.AlgebraElement.basis(w_of_partition((1, 1, 1), 3))
+    return x
+
+nilcoxeter.h_product = h_product
+try:
+    nilcoxeter.kschur(3, (2, 1))
+except IdentityError as exc:
+    print("IdentityError:", exc)
+"""
+
+# the rectangle element replaced by the unit, which moves no core
+UNIT_RECTANGLE = """
+import json
+from kschur import rectangles
+from kschur.nilcoxeter import AlgebraElement
+
+rectangles.by_readings = lambda rect: AlgebraElement.unit(rect.k)
+print(json.dumps(rectangles.verify_main(rectangles.Rectangle(3, 2, 2)).to_dict()))
+"""
+
+
+def run_python(flags, script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_solve_rejects_term_after_lam(flags):
+    assert run_python(flags, STRAY_TERM).startswith("IdentityError:")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_verify_main_fails_broken_rectangle(flags):
+    report = json.loads(run_python(flags, UNIT_RECTANGLE))
+    assert report["passed"] is False
+    (action,) = [c for c in report["checks"] if c["name"] == "single-term action k=3 cols=2 rows=2"]
+    assert action["passed"] is False
+    assert action["details"]["failures"]
