@@ -15,6 +15,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .affine import AffinePermutation
+from .reports import IdentityError
 
 Point = tuple[Fraction, ...]
 Weight = tuple[int, ...]
@@ -173,7 +174,8 @@ def pseudo_translation(gamma: Sequence[int]) -> AffinePermutation:
     k = len(gamma) - 1
     target = add_points(fundamental_centroid(k), gamma)
     w = alcove_of(target)
-    assert same_point(centroid(w), target)
+    if not same_point(centroid(w), target):
+        raise IdentityError(f"alcove of {target} does not have it as centroid")
     return w
 
 

@@ -1,101 +1,71 @@
 """Persisted cache of computed k-Schur expansions.
 
-One JSON document keyed by "k:comma-separated-partition", each value a
-list of {"window": [...], "coeff": int}.  The location comes from the
-KSCHUR_CACHE_DIR environment variable, defaulting to ~/.cache/kschur.
-The cache is advisory: anything unreadable is ignored with a warning on
-stderr and recomputed.  Writes go through a temp file and an atomic
-rename.
+One expansion document per key (k, λ), in the schema of `--format json`,
+at <dir>/<k>/<comma-separated parts, or "empty">.json, where <dir> is
+$KSCHUR_CACHE_DIR or ~/.cache/kschur.  A put writes a temp file and
+renames it into place, so it touches only its own key.  The cache is
+advisory: a file that does not parse, holds another key, or fails the
+certificate (coefficient δ_{λν} on every Grassmannian w_ν with
+|ν| = |λ|) is ignored with a warning on stderr and recomputed.
 """
 
 from __future__ import annotations
 
-import json
+import contextlib
 import os
 import sys
 import tempfile
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .affine import AffinePermutation
-from .nilcoxeter import AlgebraElement, kschur
+from .cores import k_bounded_partitions, w_of_partition
+from .documents import ExpansionDocument
 
 ENV_VAR = "KSCHUR_CACHE_DIR"
 
 
-def default_cache_file() -> Path:
-    root = os.environ.get(ENV_VAR)
-    base = Path(root) if root else Path.home() / ".cache" / "kschur"
-    return base / "expansions.json"
-
-
-def _key(k: int, lam: Sequence[int]) -> str:
-    return f"{k}:{','.join(map(str, lam))}"
+def _certify(doc: ExpansionDocument, k: int, lam: tuple[int, ...]) -> None:
+    if doc.k != k or doc.index != lam:
+        raise ValueError(f"holds the document of k={doc.k} index {doc.index}")
+    coeffs = {t.window: t.coeff for t in doc.terms}
+    for nu in k_bounded_partitions(sum(lam), k):
+        expected = 1 if nu == lam else 0
+        found = coeffs.get(w_of_partition(nu, k).window, 0)
+        if found != expected:
+            raise ValueError(f"coefficient {found} on w_{nu}, expected {expected}")
 
 
 class ExpansionCache:
     def __init__(self, path: Optional[Path] = None):
-        self.path = Path(path) if path is not None else default_cache_file()
+        root = path if path is not None else os.environ.get(ENV_VAR)
+        self.path = Path(root) if root else Path.home() / ".cache" / "kschur"
 
-    def _load(self) -> dict:
-        try:
-            raw = self.path.read_text()
-        except OSError:
-            return {}
-        try:
-            data = json.loads(raw)
-            if not isinstance(data, dict):
-                raise ValueError("cache root is not an object")
-            return data
-        except (ValueError, TypeError) as exc:
-            print(f"warning: ignoring corrupt cache {self.path}: {exc}", file=sys.stderr)
-            return {}
+    def file(self, k: int, lam: Sequence[int]) -> Path:
+        return self.path / str(k) / f"{','.join(map(str, lam)) or 'empty'}.json"
 
-    def get(self, k: int, lam: Sequence[int]) -> Optional[AlgebraElement]:
-        entry = self._load().get(_key(k, lam))
-        if entry is None:
+    def get(self, k: int, lam: Sequence[int]) -> Optional[ExpansionDocument]:
+        """The cached document of (k, lam), or None on a miss."""
+        lam = tuple(lam)
+        path = self.file(k, lam)
+        try:
+            doc = ExpansionDocument.from_json(path.read_text())
+            _certify(doc, k, lam)
+        except FileNotFoundError:
             return None
-        try:
-            return AlgebraElement(
-                k,
-                [
-                    (AffinePermutation(k, tuple(t["window"])), int(t["coeff"]))
-                    for t in entry
-                ],
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            print(
-                f"warning: ignoring corrupt cache entry {_key(k, lam)}: {exc}",
-                file=sys.stderr,
-            )
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            print(f"warning: ignoring corrupt cache entry {path}: {exc}", file=sys.stderr)
             return None
+        return doc
 
-    def put(self, k: int, lam: Sequence[int], element: AlgebraElement) -> None:
-        data = self._load()
-        data[_key(k, lam)] = [
-            {"window": list(w.window), "coeff": c} for w, c in element.items()
-        ]
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".tmp")
+    def put(self, doc: ExpansionDocument) -> None:
+        path = self.file(doc.k, doc.index)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(data, handle, sort_keys=True)
-            os.replace(tmp, self.path)
+                handle.write(doc.to_json())
+            os.replace(tmp, path)
         except BaseException:
-            try:
+            with contextlib.suppress(OSError):
                 os.unlink(tmp)
-            except OSError:
-                pass
             raise
-
-
-def cached_kschur(
-    k: int, lam: Sequence[int], cache: Optional[ExpansionCache] = None
-) -> AlgebraElement:
-    cache = cache if cache is not None else ExpansionCache()
-    hit = cache.get(k, lam)
-    if hit is not None:
-        return hit
-    element = kschur(k, lam)
-    cache.put(k, lam, element)
-    return element

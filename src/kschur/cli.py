@@ -13,7 +13,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import cores
-from .cache import cached_kschur
+from .cache import ExpansionCache
 from .documents import ExpansionDocument
 from .nilcoxeter import kschur, lr_coefficient, verify_pieri
 from .rectangles import (
@@ -56,15 +56,25 @@ def _emit_document(doc: ExpansionDocument, fmt: str) -> None:
     print(doc.to_json() if fmt == "json" else doc.to_text())
 
 
+def kschur_document(
+    k: int, lam: tuple[int, ...], cache: Optional[ExpansionCache]
+) -> ExpansionDocument:
+    """The expansion document of the k-Schur function of lam: a cache hit
+    as read, otherwise computed and written to the cache, if there is one."""
+    doc = cache.get(k, lam) if cache is not None else None
+    if doc is None:
+        doc = ExpansionDocument.from_element(lam, kschur(k, lam))
+        if cache is not None:
+            cache.put(doc)
+    return doc
+
+
 def cmd_kschur(args: argparse.Namespace) -> int:
     lam = parse_partition(args.partition)
     if not cores.is_k_bounded(lam, args.k):
         raise UsageError(f"partition {lam} is not {args.k}-bounded")
-    if args.no_cache:
-        element = kschur(args.k, lam)
-    else:
-        element = cached_kschur(args.k, lam)
-    _emit_document(ExpansionDocument.from_element(lam, element), args.format)
+    cache = None if args.no_cache else ExpansionCache()
+    _emit_document(kschur_document(args.k, lam, cache), args.format)
     return 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .affine import AffinePermutation
+from .reports import IdentityError
 
 Partition = tuple[int, ...]
 
@@ -116,7 +117,8 @@ def _add_cells(parts: Partition, cells: list[tuple[int, int]]) -> Partition:
             new.append(1)
         else:
             new[row - 1] += 1
-        assert new[row - 1] == col
+        if new[row - 1] != col:
+            raise IdentityError(f"cell ({row}, {col}) is not addable to {parts}")
     return tuple(new)
 
 
@@ -139,14 +141,16 @@ def s_action(parts: Partition, i: int, k: int) -> Partition:
     add = [c for c in addable_corners(parts) if content(*c, k) == i]
     rem = [c for c in removable_corners(parts) if content(*c, k) == i]
     # a core never has both an addable and a removable corner of one residue
-    assert not (add and rem), (parts, i, k)
+    if add and rem:
+        raise IdentityError(f"{parts} has addable and removable corners of residue {i}, k={k}")
     if add:
         result = _add_cells(parts, add)
     elif rem:
         result = _remove_cells(parts, rem)
     else:
         return parts
-    assert is_core(result, k), (parts, i, k, result)
+    if not is_core(result, k):
+        raise IdentityError(f"s_{i} on {parts} gives {result}, not a {k + 1}-core")
     return result
 
 
@@ -220,7 +224,8 @@ def bounded_to_core(parts: Sequence[int], k: int) -> Partition:
     if not is_k_bounded(parts, k):
         raise ValueError(f"partition {parts} has a part exceeding {k}")
     core = apply_word_nil((), reading_word(parts, k), k)
-    assert core is not None, parts
+    if core is None:
+        raise IdentityError(f"the reading word of {parts} kills the empty {k + 1}-core")
     return core
 
 

@@ -202,7 +202,8 @@ def cyclically_decreasing(k: int, indices: Iterable[int]) -> AffinePermutation:
     reduced since the letters are distinct."""
     word = cyclically_decreasing_word(k, indices)
     w = AffinePermutation.from_word(k, word)
-    assert w.length() == len(word)
+    if w.length() != len(word):
+        raise IdentityError(f"cyclically decreasing word {word} is not reduced")
     return w
 
 
@@ -218,7 +219,8 @@ def h(k: int, i: int) -> AlgebraElement:
     terms = {}
     for subset in combinations(range(k + 1), i):
         w = cyclically_decreasing(k, subset)
-        assert w not in terms
+        if w in terms:
+            raise IdentityError(f"h_{i}: subset {subset} repeats a group element")
         terms[w] = 1
     return AlgebraElement(k, terms)
 
@@ -373,7 +375,8 @@ def pieri_partitions(k: int, lam: Sequence[int], i: int) -> list[Partition]:
         res = apply_word_nil(core, cyclically_decreasing_word(k, subset), k)
         if res is not None:
             mu = core_to_bounded(res, k)
-            assert mu not in seen, (lam, i, subset)
+            if mu in seen:
+                raise IdentityError(f"h_{i} on {lam}: subset {subset} repeats {mu}")
             seen.add(mu)
     return sorted(seen)
 

@@ -94,8 +94,8 @@ def by_readings(rect: Rectangle) -> AlgebraElement:
         outer = (c,) * r + nu
         word = skew_reading_word(outer, nu, k)
         w = AffinePermutation.from_word(k, word)
-        assert w.length() == r * c, (nu, word)
-        assert w not in terms, nu
+        if w.length() != r * c or w in terms:
+            raise IdentityError(f"{rect}: reading word {word} of {nu} is not a new reduced word")
         terms[w] = 1
     return AlgebraElement(k, terms)
 
@@ -107,7 +107,8 @@ def by_translations(rect: Rectangle) -> AlgebraElement:
     terms = {}
     for gamma in gamma_vectors(k, c):
         w = pseudo_translation(gamma)
-        assert w not in terms, gamma
+        if w in terms:
+            raise IdentityError(f"{rect}: direction {gamma} repeats a group element")
         terms[w] = 1
     return AlgebraElement(k, terms)
 
@@ -124,8 +125,8 @@ def by_columns(rect: Rectangle) -> AlgebraElement:
             shifted = [(a + d) % n for a in subset]
             word.extend(cyclically_decreasing_word(k, shifted))
         w = AffinePermutation.from_word(k, word)
-        assert w.length() == r * c, (subset, word)
-        assert w not in terms, subset
+        if w.length() != r * c or w in terms:
+            raise IdentityError(f"{rect}: column word {word} of {subset} is not a new reduced word")
         terms[w] = 1
     return AlgebraElement(k, terms)
 
@@ -140,7 +141,8 @@ def by_windows(rect: Rectangle) -> AlgebraElement:
         in_b = set(chosen)
         window = tuple(i - r if i in in_b else i + c for i in range(1, k + 2))
         w = AffinePermutation(k, window)
-        assert w not in terms, chosen
+        if w in terms:
+            raise IdentityError(f"{rect}: window positions {chosen} repeat a group element")
         terms[w] = 1
     return AlgebraElement(k, terms)
 
@@ -170,7 +172,8 @@ def column_choice(rect: Rectangle, nu: Sequence[int]) -> tuple[int, ...]:
         lo = part(r - j + 1) - 2 * r + 1 + j
         hi = part(r - j) - 2 * r + 1 + j
         labels.extend(i % n for i in range(lo, hi))
-    assert len(labels) == c and len(set(labels)) == c, (nu, labels)
+    if len(labels) != c or len(set(labels)) != c:
+        raise IdentityError(f"{rect}: labels {labels} of {nu} are not {c} distinct residues")
     return tuple(sorted(labels))
 
 
@@ -196,7 +199,7 @@ def transpose_weight(rect: Rectangle, gamma: Sequence[int]) -> tuple[int, ...]:
     for nu in partitions_in_box(c, rect.rows):
         if translation_weight(rect, nu) == gamma:
             return translation_weight(rect.transpose(), conjugate(nu))
-    raise AssertionError(f"no partition maps to {gamma}")
+    raise IdentityError(f"no partition maps to {gamma}")
 
 
 def act_on_partition(rect: Rectangle, lam: Sequence[int]) -> Partition:

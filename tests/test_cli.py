@@ -1,11 +1,16 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from kschur.affine import AffinePermutation
-from kschur.cache import ExpansionCache, cached_kschur
+from kschur.cache import ExpansionCache
 from kschur.cli import main, parse_generator_chain, parse_partition
+from kschur.cores import k_bounded_partitions, w_of_partition
 from kschur.documents import ExpansionDocument
 from kschur.nilcoxeter import AlgebraElement, h, kschur
 from kschur.rectangles import Rectangle
@@ -231,39 +236,119 @@ def test_document_rectangle_index_roundtrip():
     assert parsed.index == Rectangle(2, cols=1, rows=2)
 
 
+def kschur_json(k, lam):
+    return ExpansionDocument.from_element(lam, kschur(k, lam)).to_json()
+
+
 def test_cache_hit_is_byte_identical(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
-    argv = ["kschur", "--k", "3", "--partition", "2,2", "--format", "json"]
-    code1, out1, _ = run_cli(capsys, *argv)
-    assert (tmp_path / "expansions.json").exists()
-    code2, out2, _ = run_cli(capsys, *argv)
-    assert code1 == code2 == 0
-    assert out1 == out2
+    for fmt in ("json", "text"):
+        for partition in ("2,2", ""):
+            argv = ["kschur", "--k", "3", "--partition", partition, "--format", fmt]
+            miss = run_cli(capsys, *argv)
+            hit = run_cli(capsys, *argv)
+            uncached = run_cli(capsys, *argv, "--no-cache")
+            assert miss == hit == uncached
+            assert miss[0] == 0 and miss[2] == ""
+    cache = ExpansionCache(tmp_path)
+    assert cache.file(3, (2, 2)) == tmp_path / "3" / "2,2.json"
+    assert cache.file(3, ()) == tmp_path / "3" / "empty.json"
+    assert cache.file(3, (2, 2)).read_text() == kschur_json(3, (2, 2))
 
 
-def test_cache_corrupt_file_recomputes(tmp_path, capsys):
-    path = tmp_path / "expansions.json"
-    path.write_text("{not json")
-    cache = ExpansionCache(path)
-    elem = cached_kschur(2, (1,), cache)
-    err = capsys.readouterr().err
-    assert "corrupt" in err
-    assert elem == kschur(2, (1,))
-    # the recomputed value was stored and round-trips cleanly
-    assert cache.get(2, (1,)) == elem
+def test_cache_corrupt_file_recomputes(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    path = ExpansionCache(tmp_path).file(2, (1,))
+    path.parent.mkdir(parents=True)
+    for garbage in (b"{not json", b"[]", b'{"k": 2, "index": [1]}', b"\xff"):
+        path.write_bytes(garbage)
+        code, out, err = run_cli(
+            capsys, "kschur", "--k", "2", "--partition", "1", "--format", "json"
+        )
+        assert code == 0
+        assert "warning: ignoring corrupt cache entry" in err
+        assert out.strip() == kschur_json(2, (1,))
+        # the recomputed document replaced the corrupt file
+        assert path.read_text() == out.strip()
 
 
-def test_cache_corrupt_entry_recomputes(tmp_path, capsys):
-    path = tmp_path / "expansions.json"
-    path.write_text(json.dumps({"2:1": [{"window": [9, 9, 9], "coeff": 1}]}))
-    cache = ExpansionCache(path)
-    assert cache.get(2, (1,)) is None
-    assert "corrupt" in capsys.readouterr().err
+def test_cache_corrupt_entry_recomputes(tmp_path, capsys, monkeypatch):
+    """Well-formed documents that are not the requested expansion."""
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    cache = ExpansionCache(tmp_path)
+    lam = (2, 1)
+    doc = ExpansionDocument.from_element(lam, kschur(3, lam))
+    altered = doc.to_dict()
+    (own,) = [t for t in altered["terms"] if t["window"] == list(w_of_partition(lam, 3).window)]
+    own["coeff"] = 2
+    # a term on the Grassmannian element of another partition of 3
+    stray = doc.to_dict()
+    w = w_of_partition((1, 1, 1), 3)
+    stray["terms"].append({"window": list(w.window), "word": list(w.reduced_word()), "coeff": 1})
+    stray["terms"].sort(key=lambda t: t["window"])
+    relabelled = dict(doc.to_dict(), index=[1, 1, 1])
+    wrong_key = ExpansionDocument.from_element((1, 1, 1), kschur(3, (1, 1, 1))).to_dict()
+    wrong_k = ExpansionDocument.from_element(lam, kschur(4, lam)).to_dict()
+    for data in (altered, stray, relabelled, wrong_key, wrong_k):
+        path = cache.file(3, lam)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(data))
+        assert cache.get(3, lam) is None
+        assert "warning: ignoring corrupt cache entry" in capsys.readouterr().err
+        code, out, err = run_cli(
+            capsys, "kschur", "--k", "3", "--partition", "2,1", "--format", "json"
+        )
+        assert (code, out.strip()) == (0, doc.to_json())
+        assert "corrupt" in err
+        assert cache.get(3, lam) == doc
 
 
-def test_cache_atomic_write_preserves_other_keys(tmp_path):
-    cache = ExpansionCache(tmp_path / "expansions.json")
-    cache.put(2, (1,), kschur(2, (1,)))
-    cache.put(2, (2, 1), kschur(2, (2, 1)))
-    assert cache.get(2, (1,)) == kschur(2, (1,))
-    assert cache.get(2, (2, 1)) == kschur(2, (2, 1))
+def test_cache_atomic_write_preserves_other_keys(tmp_path, capsys):
+    cache = ExpansionCache(tmp_path)
+    # a cache file of the former single-file layout is not read
+    (tmp_path / "expansions.json").write_text("{not json")
+    docs = [ExpansionDocument.from_element(lam, kschur(2, lam)) for lam in [(1,), (2, 1), ()]]
+    for doc in docs:
+        assert cache.get(2, doc.index) is None
+        cache.put(doc)
+    for doc in docs:
+        assert cache.get(2, doc.index) == doc
+    assert capsys.readouterr().err == ""
+    names = sorted(p.name for p in (tmp_path / "2").iterdir())
+    assert names == ["1.json", "2,1.json", "empty.json"]
+
+
+WRITER = """
+import sys
+from kschur.cli import main
+
+for key in sys.argv[1:]:
+    k, partition = key.split(":")
+    main(["kschur", "--k", k, "--partition", partition, "--format", "json"])
+"""
+
+
+def test_cache_concurrent_writers_keep_every_key(tmp_path):
+    """Three processes fill one cache directory with distinct keys at once;
+    a put that rewrote a shared file would drop the others' entries."""
+    keys = [
+        (k, lam) for k in range(1, 5) for n in range(5) for lam in k_bounded_partitions(n, k)
+    ]
+    env = dict(os.environ, KSCHUR_CACHE_DIR=str(tmp_path))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    writers = [
+        subprocess.Popen(
+            [sys.executable, "-c", WRITER]
+            + [f"{k}:{','.join(map(str, lam))}" for k, lam in keys[start::3]],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        for start in range(3)
+    ]
+    for writer in writers:
+        _, err = writer.communicate(timeout=120)
+        assert writer.returncode == 0, err
+    cache = ExpansionCache(tmp_path)
+    lost = [(k, lam) for k, lam in keys if cache.get(k, lam) is None]
+    assert lost == []
+    assert all(cache.get(k, lam).to_json() == kschur_json(k, lam) for k, lam in keys)

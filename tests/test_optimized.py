@@ -70,3 +70,20 @@ def test_verify_main_fails_broken_rectangle(flags):
     (action,) = [c for c in report["checks"] if c["name"] == "single-term action k=3 cols=2 rows=2"]
     assert action["passed"] is False
     assert action["details"]["failures"]
+
+
+# s_0 on (3,), which is not a 3-core, adds the cell (1, 4) and gives (4,)
+NON_CORE = """
+from kschur.cores import s_action
+from kschur.reports import IdentityError
+
+try:
+    print(s_action((3,), 0, 2))
+except IdentityError as exc:
+    print("IdentityError:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_s_action_rejects_non_core(flags):
+    assert run_python(flags, NON_CORE).startswith("IdentityError:")
