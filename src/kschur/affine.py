@@ -13,7 +13,7 @@ j = i mod (k+1), to j-1 when j = i+1 mod (k+1), and fixes j otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,16 @@ class AffinePermutation:
             # w(0) = w(k+1) - (k+1)
             return self.window[self.k] - (self.k + 1) > self.window[0]
         return self.window[i - 1] > self.window[i]
+
+    def times_reduced(self, word: Iterable[int]) -> Optional["AffinePermutation"]:
+        """w * s_{i_1} * ... * s_{i_m} if each letter adds one to the length
+        (the nilCoxeter product u(w) u_{i_1} ... u_{i_m}), else None."""
+        w = self
+        for i in word:
+            if w.has_right_descent(i):
+                return None
+            w = w.right_mult(i)
+        return w
 
     def right_descents(self) -> list[int]:
         return [i for i in range(self.k + 1) if self.has_right_descent(i)]

@@ -6,7 +6,8 @@ $KSCHUR_CACHE_DIR or ~/.cache/kschur.  A put writes a temp file and
 renames it into place, so it touches only its own key.  The cache is
 advisory: a file that does not parse, holds another key, or fails the
 certificate (coefficient δ_{λν} on every Grassmannian w_ν with
-|ν| = |λ|) is ignored with a warning on stderr and recomputed.
+|ν| = |λ|) is ignored with a warning on stderr and recomputed, and a
+put that cannot write (say, the directory is a regular file) only warns.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class ExpansionCache:
         try:
             doc = ExpansionDocument.from_json(path.read_text())
             _certify(doc, k, lam)
-        except FileNotFoundError:
+        except (FileNotFoundError, NotADirectoryError):
             return None
         except (OSError, KeyError, TypeError, ValueError) as exc:
             print(f"warning: ignoring corrupt cache entry {path}: {exc}", file=sys.stderr)
@@ -58,14 +59,18 @@ class ExpansionCache:
         return doc
 
     def put(self, doc: ExpansionDocument) -> None:
+        """Write the document of its key; a failure is only a warning."""
         path = self.file(doc.k, doc.index)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(doc.to_json())
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w") as handle:
+                    handle.write(doc.to_json())
+                os.replace(tmp, path)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+                raise
+        except OSError as exc:
+            print(f"warning: cannot write cache entry {path}: {exc}", file=sys.stderr)

@@ -172,19 +172,17 @@ def cmd_core(args: argparse.Namespace) -> int:
 
     if args.action == "act":
         chain = parse_generator_chain(args.args[0])
+        for _, i in chain:
+            if not 0 <= i <= k:
+                raise UsageError(f"generator index {i} out of range 0..{k}")
         parts = parse_partition(args.args[1])
         if not cores.is_core(parts, k):
             raise UsageError(f"{parts} is not a {k + 1}-core")
         current: Optional[tuple[int, ...]] = parts
         for kind, i in reversed(chain):
-            if not 0 <= i <= k:
-                raise UsageError(f"generator index {i} out of range 0..{k}")
             if current is None:
                 break
-            if kind == "u":
-                current = cores.u_action(current, i, k)
-            else:
-                current = cores.s_action(current, i, k)
+            current = (cores.u_action if kind == "u" else cores.s_action)(current, i, k)
         emit(current)
     elif args.action == "to-core":
         lam = parse_partition(args.args[0])

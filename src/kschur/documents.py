@@ -7,7 +7,9 @@ Schema (stable):
 
 Terms are sorted by window, lexicographically.  The window is the
 authoritative key; the word is carried for readability and must be a
-reduced word for it.
+reduced word for it, which the reader checks by folding the word from
+the identity.  Every value the schema types as int must be a JSON
+integer: floats and booleans are rejected.
 """
 
 from __future__ import annotations
@@ -21,6 +23,18 @@ from .nilcoxeter import AlgebraElement
 from .rectangles import Rectangle
 
 Index = Union[tuple[int, ...], Rectangle]
+
+
+def _integer(value) -> int:
+    """A JSON integer; JSON floats and booleans compare equal to integers
+    in Python, so the type is checked, not the value."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _integers(values) -> tuple[int, ...]:
+    return tuple(_integer(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -69,21 +83,24 @@ class ExpansionDocument:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExpansionDocument":
-        k = data["k"]
+        k = _integer(data["k"])
         raw_index = data["index"]
         if isinstance(raw_index, dict):
-            index: Index = Rectangle(k, cols=raw_index["cols"], rows=raw_index["rows"])
+            index: Index = Rectangle(
+                k, cols=_integer(raw_index["cols"]), rows=_integer(raw_index["rows"])
+            )
         else:
-            index = tuple(raw_index)
+            index = _integers(raw_index)
+        identity = AffinePermutation.identity(k)
         terms = []
         for t in data["terms"]:
-            window = tuple(t["window"])
-            word = tuple(t["word"])
-            coeff = t["coeff"]
-            w = AffinePermutation(k, window)
+            window = _integers(t["window"])
+            word = _integers(t["word"])
+            coeff = _integer(t["coeff"])
             if coeff == 0:
                 raise ValueError("zero coefficient in document")
-            if AffinePermutation.from_word(k, word) != w or len(word) != w.length():
+            w = identity.times_reduced(word)
+            if w is None or w.window != window:
                 raise ValueError(f"word {word} is not reduced for window {window}")
             terms.append(Term(window=window, word=word, coeff=coeff))
         return cls(k=k, index=index, terms=tuple(terms))

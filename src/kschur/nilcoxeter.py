@@ -28,6 +28,7 @@ from .cores import (
     core_to_bounded,
     is_k_bounded,
     k_bounded_partitions,
+    reading_word,
     w_of_partition,
 )
 from .reports import Check, IdentityError, Report
@@ -39,13 +40,9 @@ def basis_times_generator(
     """u(w) * u_i (or u_i * u(w) for side="left"): the length-increasing
     product, or None when the length would drop (u_i^2 = 0)."""
     if side == "right":
-        if w.has_right_descent(i):
-            return None
-        return w.right_mult(i)
+        return w.times_reduced((i,))
     if side == "left":
-        if w.has_left_descent(i):
-            return None
-        return w.left_mult(i)
+        return None if w.has_left_descent(i) else w.left_mult(i)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
@@ -134,18 +131,12 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_rank(other)
-        # expand each right key into a reduced word once, then fold the
-        # letters through every left key, dropping products that die
+        # fold a reduced word of each right key through every left key
         acc: dict[AffinePermutation, int] = {}
-        right = [(wb, cb, wb.reduced_word()) for wb, cb in other._terms.items()]
+        right = [(cb, wb.reduced_word()) for wb, cb in other._terms.items()]
         for wa, ca in self._terms.items():
-            for wb, cb, word in right:
-                cur: Optional[AffinePermutation] = wa
-                for i in word:
-                    if cur.has_right_descent(i):
-                        cur = None
-                        break
-                    cur = cur.right_mult(i)
+            for cb, word in right:
+                cur = wa.times_reduced(word)
                 if cur is not None:
                     acc[cur] = acc.get(cur, 0) + ca * cb
         return AlgebraElement(self.k, acc)
@@ -201,8 +192,8 @@ def cyclically_decreasing(k: int, indices: Iterable[int]) -> AffinePermutation:
     """Group element of the cyclically decreasing product; its word is
     reduced since the letters are distinct."""
     word = cyclically_decreasing_word(k, indices)
-    w = AffinePermutation.from_word(k, word)
-    if w.length() != len(word):
+    w = AffinePermutation.identity(k).times_reduced(word)
+    if w is None:
         raise IdentityError(f"cyclically decreasing word {word} is not reduced")
     return w
 
@@ -357,7 +348,7 @@ def lr_coefficient(
     if sum(nu) != sum(lam) + sum(mu):
         return 0
     w = w_of_partition(nu, k) * w_of_partition(mu, k).inverse()
-    if w.length() != sum(nu) - sum(mu):
+    if w.times_reduced(reading_word(mu, k)) is None:
         return 0
     if apply_word_nil(bounded_to_core(mu, k), w.reduced_word(), k) != bounded_to_core(nu, k):
         return 0

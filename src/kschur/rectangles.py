@@ -91,10 +91,9 @@ def by_readings(rect: Rectangle) -> AlgebraElement:
     k, c, r = rect.k, rect.cols, rect.rows
     terms = {}
     for nu in partitions_in_box(c, r):
-        outer = (c,) * r + nu
-        word = skew_reading_word(outer, nu, k)
-        w = AffinePermutation.from_word(k, word)
-        if w.length() != r * c or w in terms:
+        word = skew_reading_word((c,) * r + nu, nu, k)
+        w = AffinePermutation.identity(k).times_reduced(word)
+        if w is None or w in terms:
             raise IdentityError(f"{rect}: reading word {word} of {nu} is not a new reduced word")
         terms[w] = 1
     return AlgebraElement(k, terms)
@@ -122,10 +121,9 @@ def by_columns(rect: Rectangle) -> AlgebraElement:
     for subset in combinations(range(n), c):
         word: list[int] = []
         for d in range(r):
-            shifted = [(a + d) % n for a in subset]
-            word.extend(cyclically_decreasing_word(k, shifted))
-        w = AffinePermutation.from_word(k, word)
-        if w.length() != r * c or w in terms:
+            word.extend(cyclically_decreasing_word(k, [(a + d) % n for a in subset]))
+        w = AffinePermutation.identity(k).times_reduced(word)
+        if w is None or w in terms:
             raise IdentityError(f"{rect}: column word {word} of {subset} is not a new reduced word")
         terms[w] = 1
     return AlgebraElement(k, terms)

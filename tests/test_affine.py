@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -210,3 +211,42 @@ def test_descents_of_identity():
     w = AffinePermutation.identity(5)
     assert w.right_descents() == []
     assert not any(w.has_left_descent(i) for i in range(6))
+
+
+def all_words(k, max_len):
+    for m in range(max_len + 1):
+        yield from product(range(k + 1), repeat=m)
+
+
+def test_times_reduced_from_identity_matches_length_oracle():
+    # exhaustive over words of at most 5 letters: the fold is None exactly
+    # when the word is not reduced, and otherwise the word's product
+    for k in range(1, 4):
+        e = AffinePermutation.identity(k)
+        for word in all_words(k, 5):
+            w = AffinePermutation.from_word(k, word)
+            folded = e.times_reduced(word)
+            if w.length() != len(word):
+                assert folded is None, (k, word)
+            else:
+                assert folded == w, (k, word)
+
+
+def test_times_reduced_from_any_start_matches_length_oracle():
+    rng = random.Random(11)
+    for k in range(1, 4):
+        starts = [AffinePermutation.identity(k).right_mult(0)]
+        starts += [random_element(rng, k, max_len=6) for _ in range(4)]
+        for w in starts:
+            for word in all_words(k, 5):
+                target = w * AffinePermutation.from_word(k, word)
+                folded = w.times_reduced(word)
+                if target.length() != w.length() + len(word):
+                    assert folded is None, (k, w.window, word)
+                else:
+                    assert folded == target, (k, w.window, word)
+
+
+def test_times_reduced_rejects_bad_letters():
+    with pytest.raises(ValueError):
+        AffinePermutation.identity(2).times_reduced((1, 3))

@@ -189,6 +189,10 @@ def test_core_command_argument_errors(capsys):
     assert code == 2  # (3) is not a 3-core
     code, _, err = run_cli(capsys, "core", "--k", "4", "act", "u9", "6,4,3,1")
     assert code == 2
+    # every index is checked, also past a letter that kills the core
+    code, out, err = run_cli(capsys, "core", "--k", "4", "act", "u9u0u0", "6,4,3,1")
+    assert (code, out) == (2, "")
+    assert "generator index 9" in err
 
 
 def test_lr_command(capsys):
@@ -227,6 +231,43 @@ def test_document_rejects_bad_word():
     data["terms"][0]["word"] = [0, 0, 1]
     with pytest.raises(ValueError):
         ExpansionDocument.from_dict(data)
+
+
+@pytest.mark.parametrize("convert", [float, bool], ids=["float", "bool"])
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("k",),
+        ("index", 0),
+        ("terms", 0, "window", 0),
+        ("terms", 1, "window", 1),
+        ("terms", 0, "word", 0),
+        ("terms", 1, "word", 0),
+        ("terms", 0, "coeff"),
+    ],
+    ids=lambda path: ".".join(map(str, path)),
+)
+def test_document_rejects_non_integer_values(path, convert):
+    # k = 1: windows [0, 3] and [2, 1], words [0] and [1], coefficients 1,
+    # so every int below has an equal float and an equal bool
+    data = ExpansionDocument.from_element((1,), h(1, 1)).to_dict()
+    *parents, last = path
+    target = data
+    for key in parents:
+        target = target[key]
+    value = convert(target[last])
+    assert value == target[last]
+    target[last] = value
+    with pytest.raises(ValueError):
+        ExpansionDocument.from_dict(data)
+
+
+def test_document_rejects_non_integer_rectangle_index():
+    data = ExpansionDocument.from_element(Rectangle(2, cols=1, rows=2), h(2, 1)).to_dict()
+    for key, value in (("rows", 2.0), ("cols", True)):
+        bad = dict(data, index=dict(data["index"], **{key: value}))
+        with pytest.raises(ValueError):
+            ExpansionDocument.from_dict(bad)
 
 
 def test_document_rectangle_index_roundtrip():
@@ -301,6 +342,42 @@ def test_cache_corrupt_entry_recomputes(tmp_path, capsys, monkeypatch):
         assert (code, out.strip()) == (0, doc.to_json())
         assert "corrupt" in err
         assert cache.get(3, lam) == doc
+
+
+def test_cache_float_and_bool_values_recompute(tmp_path, capsys, monkeypatch):
+    """A cached document whose integers became JSON floats or booleans
+    (equal as Python values) is corrupt, not a hit."""
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    argv = ["kschur", "--k", "3", "--partition", "2,1", "--format", "json"]
+    code, uncached, _ = run_cli(capsys, *argv, "--no-cache")
+    assert code == 0
+    run_cli(capsys, *argv)
+    path = ExpansionCache(tmp_path).file(3, (2, 1))
+    data = json.loads(path.read_text())
+    data["index"] = [2.0, True]
+    for term in data["terms"]:
+        term["coeff"] = True
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (0, uncached)
+    assert "warning: ignoring corrupt cache entry" in err
+    assert path.read_text() == uncached.strip()
+
+
+def test_cache_unwritable_directory_warns(tmp_path, capsys, monkeypatch):
+    """The cache is advisory: a cache path that is a regular file costs
+    one warning, not the result."""
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("")
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(not_a_dir))
+    for fmt in ("json", "text"):
+        argv = ["kschur", "--k", "3", "--partition", "2,1", "--format", fmt]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == run_cli(capsys, *argv, "--no-cache")[:2]
+        assert code == 0
+        (line,) = err.splitlines()
+        assert line.startswith("warning: cannot write cache entry")
+    assert not_a_dir.read_text() == ""
 
 
 def test_cache_atomic_write_preserves_other_keys(tmp_path, capsys):

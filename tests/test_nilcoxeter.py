@@ -6,7 +6,7 @@ import pytest
 
 from kschur import nilcoxeter
 from kschur.affine import AffinePermutation
-from kschur.cores import bounded_to_core, k_bounded_partitions
+from kschur.cores import bounded_to_core, k_bounded_partitions, w_of_partition
 from kschur.nilcoxeter import (
     AlgebraElement,
     act_on_core,
@@ -386,6 +386,23 @@ def test_lr_coefficients_reassemble_products():
                             if c:
                                 combo = combo + c * kschur(k, nu)
                         assert combo == product, (k, lam, mu)
+
+
+def test_lr_coefficient_matches_product_coefficients():
+    # the coefficient of u(w_nu) in a product of k-Schur functions is the
+    # structure constant of nu, since s_rho has coefficient delta on w_nu
+    triples = 0
+    for k in range(1, 4):
+        for na in range(4):
+            for nb in range(4):
+                for lam in k_bounded_partitions(na, k):
+                    for mu in k_bounded_partitions(nb, k):
+                        product = kschur(k, lam) * kschur(k, mu)
+                        for nu in k_bounded_partitions(na + nb, k):
+                            expected = product.coefficient(w_of_partition(nu, k))
+                            assert lr_coefficient(k, lam, mu, nu) == expected, (k, lam, mu, nu)
+                            triples += 1
+    assert triples == 315
 
 
 def test_str_and_repr():
