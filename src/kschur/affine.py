@@ -4,7 +4,8 @@ An element w is a bijection of the integers satisfying
 w(j + k + 1) = w(j) + k + 1 and sum(w(1), ..., w(k+1)) = (k+1)(k+2)/2;
 it is determined by the window [w(1), ..., w(k+1)].  Windows are a
 canonical form, one per group element, so equality, hashing and
-dictionary keying need no word rewriting.
+dictionary keying need no word rewriting.  The constructor checks a
+window; group operations derive windows from valid ones unchecked.
 
 The group is generated by s_0, ..., s_k where s_i sends j to j+1 when
 j = i mod (k+1), to j-1 when j = i+1 mod (k+1), and fixes j otherwise.
@@ -43,6 +44,13 @@ class AffinePermutation:
         if sum(window) != n * (n + 1) // 2:
             raise ValueError(f"window sum must be {n * (n + 1) // 2}, got {sum(window)}")
 
+    def _derived(self, window: tuple[int, ...]) -> "AffinePermutation":
+        """Rank k and a window a group operation derived from valid ones: unchecked."""
+        w = object.__new__(AffinePermutation)
+        object.__setattr__(w, "k", self.k)
+        object.__setattr__(w, "window", window)
+        return w
+
     @classmethod
     def identity(cls, k: int) -> "AffinePermutation":
         return cls(k, tuple(range(1, k + 2)))
@@ -76,23 +84,11 @@ class AffinePermutation:
             win[0], win[n - 1] = self.window[n - 1] - n, self.window[0] + n
         else:
             win[i - 1], win[i] = self.window[i], self.window[i - 1]
-        return AffinePermutation(self.k, tuple(win))
+        return self._derived(tuple(win))
 
     def left_mult(self, i: int) -> "AffinePermutation":
-        """s_i * w.  Applies the generator bijection to each window value."""
-        n = self.k + 1
-        if not 0 <= i <= self.k:
-            raise ValueError(f"generator index must be in 0..{self.k}, got {i}")
-        win = []
-        for a in self.window:
-            r = a % n
-            if r == i % n:
-                win.append(a + 1)
-            elif r == (i + 1) % n:
-                win.append(a - 1)
-            else:
-                win.append(a)
-        return AffinePermutation(self.k, tuple(win))
+        """s_i * w, as (w^-1 * s_i)^-1."""
+        return self.inverse().right_mult(i).inverse()
 
     def has_right_descent(self, i: int) -> bool:
         """True iff w(i) > w(i+1), i.e. length(w * s_i) = length(w) - 1."""
@@ -152,14 +148,14 @@ class AffinePermutation:
         for t, a in enumerate(self.window, start=1):
             q, b = divmod(a - 1, n)
             win[b] = t - q * n
-        return AffinePermutation(self.k, tuple(win))
+        return self._derived(tuple(win))
 
     def __mul__(self, other: "AffinePermutation") -> "AffinePermutation":
         if not isinstance(other, AffinePermutation):
             return NotImplemented
         if self.k != other.k:
             raise ValueError(f"rank mismatch: {self.k} != {other.k}")
-        return AffinePermutation(self.k, tuple(self.value(b) for b in other.window))
+        return self._derived(tuple(self.value(b) for b in other.window))
 
     def rotate_indices(self, m: int) -> "AffinePermutation":
         """Image under the Dynkin rotation s_i -> s_{i+m}.
@@ -167,10 +163,7 @@ class AffinePermutation:
         On windows this is conjugation by j -> j + m, so the result does
         not depend on a choice of reduced word.
         """
-        n = self.k + 1
-        return AffinePermutation(
-            self.k, tuple(self.value(j - m) + m for j in range(1, n + 1))
-        )
+        return self._derived(tuple(self.value(j - m) + m for j in range(1, self.k + 2)))
 
     def reflect_indices(self) -> "AffinePermutation":
         """Image under the Dynkin reflection s_i -> s_{-i}.
@@ -178,10 +171,7 @@ class AffinePermutation:
         On windows this is conjugation by j -> 1 - j; an involutive
         automorphism of the group.
         """
-        n = self.k + 1
-        return AffinePermutation(
-            self.k, tuple(1 - self.value(1 - j) for j in range(1, n + 1))
-        )
+        return self._derived(tuple(1 - self.value(1 - j) for j in range(1, self.k + 2)))
 
 
 def rotate_word(word: Iterable[int], m: int, k: int) -> tuple[int, ...]:

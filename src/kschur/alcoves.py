@@ -46,21 +46,15 @@ def reflect(i: int, p: Sequence) -> Point:
     n = len(p)
     q = list(make_point(p))
     if i == 0:
-        q[0], q[n - 1] = Fraction(p[n - 1]) + 1, Fraction(p[0]) - 1
+        q[0], q[n - 1] = q[n - 1] + 1, q[0] - 1
     else:
-        q[i - 1], q[i] = Fraction(p[i]), Fraction(p[i - 1])
+        q[i - 1], q[i] = q[i], q[i - 1]
     return tuple(q)
 
 
 def reflect_linear(i: int, p: Sequence) -> Point:
     """Linear part of reflect: the plain coordinate swap, no shift."""
-    n = len(p)
-    q = list(make_point(p))
-    if i == 0:
-        q[0], q[n - 1] = q[n - 1], q[0]
-    else:
-        q[i - 1], q[i] = q[i], q[i - 1]
-    return tuple(q)
+    return act_linear(AffinePermutation.identity(len(p) - 1).right_mult(i), p)
 
 
 def act(w: AffinePermutation, p: Sequence) -> Point:

@@ -1,13 +1,14 @@
 """Command line surface.
 
-Exit codes: 0 success or all checks passed, 1 verification failure,
-2 usage error.
+Exit codes: 0 success or all checks passed, 1 verification failure
+or a closed standard output, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import Optional, Sequence
@@ -299,7 +300,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; the interpreter's flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":

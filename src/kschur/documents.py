@@ -8,8 +8,9 @@ Schema (stable):
 Terms are sorted by window, lexicographically.  The window is the
 authoritative key; the word is carried for readability and must be a
 reduced word for it, which the reader checks by folding the word from
-the identity.  Every value the schema types as int must be a JSON
-integer: floats and booleans are rejected.
+the identity once the window has k + 1 entries, so a huge k costs
+nothing.  Every value the schema types as int must be a JSON integer:
+floats and booleans are rejected.
 """
 
 from __future__ import annotations
@@ -84,6 +85,8 @@ class ExpansionDocument:
     @classmethod
     def from_dict(cls, data: dict) -> "ExpansionDocument":
         k = _integer(data["k"])
+        if k < 1:
+            raise ValueError(f"rank parameter must be >= 1, got {k}")
         raw_index = data["index"]
         if isinstance(raw_index, dict):
             index: Index = Rectangle(
@@ -91,10 +94,14 @@ class ExpansionDocument:
             )
         else:
             index = _integers(raw_index)
-        identity = AffinePermutation.identity(k)
+        identity = None
         terms = []
         for t in data["terms"]:
             window = _integers(t["window"])
+            if len(window) != k + 1:
+                raise ValueError(f"window needs {k + 1} entries, got {len(window)}")
+            if identity is None:
+                identity = AffinePermutation.identity(k)
             word = _integers(t["word"])
             coeff = _integer(t["coeff"])
             if coeff == 0:

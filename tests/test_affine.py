@@ -57,6 +57,33 @@ def test_generator_involution():
         assert w.left_mult(i).left_mult(i) == w
 
 
+def test_derived_windows_pass_the_constructor():
+    # group operations skip the window checks; the public constructor,
+    # which runs them, accepts every window they derive
+    rng = random.Random(13)
+    for k in range(1, 6):
+        for _ in range(40):
+            w = random_element(rng, k)
+            v = random_element(rng, k)
+            m = rng.randrange(-3, 2 * k + 2)
+            derived = [w.inverse(), w * v, w.rotate_indices(m), w.reflect_indices()]
+            derived += [w.right_mult(i) for i in range(k + 1)]
+            derived += [w.left_mult(i) for i in range(k + 1)]
+            for result in derived:
+                assert result == AffinePermutation(k, list(result.window))
+
+
+def test_left_mult_matches_product_and_descents():
+    rng = random.Random(14)
+    for k in range(1, 6):
+        for _ in range(40):
+            w = random_element(rng, k)
+            for i in range(k + 1):
+                left = w.left_mult(i)
+                assert left == AffinePermutation.from_word(k, (i,)) * w
+                assert w.has_left_descent(i) == (left.length() < w.length())
+
+
 def test_value_periodicity():
     w = AffinePermutation.from_word(4, (2, 1, 3, 2, 4, 3))
     for j in range(-7, 9):

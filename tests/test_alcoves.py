@@ -64,6 +64,20 @@ def test_reflect_swaps():
     q = (1, 0, 0)
     assert reflect(0, q) == (1, 0, 0)  # a_3 + 1 = 1, a_1 - 1 = 0
     assert reflect_linear(0, (1, 0, 0)) == (0, 0, 1)
+    # the explicit swaps: i > 0 exchanges coordinates i and i+1, i = 0 the
+    # first and last, reflect with a unit shift
+    rng = random.Random(12)
+    for _ in range(40):
+        k = rng.randint(1, 5)
+        p = random_point(rng, k)
+        for i in range(k + 1):
+            a, b = (k, 0) if i == 0 else (i - 1, i)
+            swapped = list(p)
+            swapped[a], swapped[b] = p[b], p[a]
+            assert reflect_linear(i, p) == tuple(swapped)
+            if i == 0:
+                swapped[a], swapped[b] = p[b] - 1, p[a] + 1
+            assert reflect(i, p) == tuple(swapped)
 
 
 def test_reflect_involution():

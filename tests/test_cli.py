@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,33 @@ def test_core_command_argument_errors(capsys):
     assert "generator index 9" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kschur", "--k", "3", "--partition", "2,1", "--format", "json", "--no-cache"],
+        ["core", "--k", "4", "act", "u1", "6,4,3,1"],
+    ],
+    ids=["kschur", "core"],
+)
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_quietly(argv, unbuffered):
+    # the read end is closed before the start, so every write fails: at the
+    # print when stdout is unbuffered, else at the flush after main returns
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from kschur.cli import run; run()", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
 def test_lr_command(capsys):
     code, out, _ = run_cli(
         capsys, "lr", "--k", "4", "--lambda", "2,2,2", "--mu", "1", "--nu", "2,2,2,1"
@@ -268,6 +296,25 @@ def test_document_rejects_non_integer_rectangle_index():
         bad = dict(data, index=dict(data["index"], **{key: value}))
         with pytest.raises(ValueError):
             ExpansionDocument.from_dict(bad)
+
+
+def test_document_huge_k_costs_nothing():
+    """A document's k is read before its windows; only a window of k + 1
+    entries makes the reader build anything of size k."""
+    empty = {"k": 1000000, "index": [], "terms": []}
+    short = dict(empty, terms=[{"window": [1, 2], "word": [], "coeff": 1}])
+    tracemalloc.start()
+    try:
+        doc = ExpansionDocument.from_json(json.dumps(empty))
+        with pytest.raises(ValueError):
+            ExpansionDocument.from_json(json.dumps(short))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert doc == ExpansionDocument(k=1000000, index=(), terms=())
+    assert peak < 1 << 20
+    with pytest.raises(ValueError):
+        ExpansionDocument.from_dict(dict(empty, k=0))
 
 
 def test_document_rectangle_index_roundtrip():
@@ -360,6 +407,28 @@ def test_cache_float_and_bool_values_recompute(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps(data))
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (0, uncached)
+    assert "warning: ignoring corrupt cache entry" in err
+    assert path.read_text() == uncached.strip()
+
+
+def test_cache_huge_k_recomputes(tmp_path, capsys, monkeypatch):
+    """A cached document whose k is huge is corrupt, found so before
+    anything of size k is built."""
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    argv = ["kschur", "--k", "3", "--partition", "2,1", "--format", "json"]
+    code, uncached, _ = run_cli(capsys, *argv, "--no-cache")
+    assert code == 0
+    run_cli(capsys, *argv)
+    path = ExpansionCache(tmp_path).file(3, (2, 1))
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), k=1000000)))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (0, uncached)
+    assert peak < 1 << 20
     assert "warning: ignoring corrupt cache entry" in err
     assert path.read_text() == uncached.strip()
 
