@@ -62,12 +62,10 @@ class AffinePermutation:
         Total: the word does not have to be reduced.
         """
         w = cls.identity(k)
+        win = list(w.window)
         for i in word:
-            w = w.right_mult(i)
-        return w
-
-    def is_identity(self) -> bool:
-        return self.window == tuple(range(1, self.k + 2))
+            _step(win, i)
+        return w._derived(tuple(win))
 
     def value(self, j: int) -> int:
         """w(j) for any integer j, extending the window periodically."""
@@ -75,15 +73,9 @@ class AffinePermutation:
         return self.window[t] + q * (self.k + 1)
 
     def right_mult(self, i: int) -> "AffinePermutation":
-        """w * s_i.  Swaps window entries i, i+1; s_0 wraps with a shift of k+1."""
-        n = self.k + 1
-        if not 0 <= i <= self.k:
-            raise ValueError(f"generator index must be in 0..{self.k}, got {i}")
+        """w * s_i."""
         win = list(self.window)
-        if i == 0:
-            win[0], win[n - 1] = self.window[n - 1] - n, self.window[0] + n
-        else:
-            win[i - 1], win[i] = self.window[i], self.window[i - 1]
+        _step(win, i)
         return self._derived(tuple(win))
 
     def left_mult(self, i: int) -> "AffinePermutation":
@@ -92,22 +84,16 @@ class AffinePermutation:
 
     def has_right_descent(self, i: int) -> bool:
         """True iff w(i) > w(i+1), i.e. length(w * s_i) = length(w) - 1."""
-        if not 0 <= i <= self.k:
-            raise ValueError(f"generator index must be in 0..{self.k}, got {i}")
-        if i == 0:
-            # w(0) = w(k+1) - (k+1)
-            return self.window[self.k] - (self.k + 1) > self.window[0]
-        return self.window[i - 1] > self.window[i]
+        return not _step(list(self.window), i)
 
     def times_reduced(self, word: Iterable[int]) -> Optional["AffinePermutation"]:
         """w * s_{i_1} * ... * s_{i_m} if each letter adds one to the length
         (the nilCoxeter product u(w) u_{i_1} ... u_{i_m}), else None."""
-        w = self
+        win = list(self.window)
         for i in word:
-            if w.has_right_descent(i):
+            if not _step(win, i):
                 return None
-            w = w.right_mult(i)
-        return w
+        return self._derived(tuple(win))
 
     def right_descents(self) -> list[int]:
         return [i for i in range(self.k + 1) if self.has_right_descent(i)]
@@ -134,13 +120,16 @@ class AffinePermutation:
         Deterministic; from_word(k, w.reduced_word()) == w and the word
         length equals w.length().
         """
+        win = list(self.window)
         letters = []
-        w = self
-        while not w.is_identity():
-            i = min(w.right_descents())
-            letters.append(i)
-            w = w.right_mult(i)
-        return tuple(reversed(letters))
+        while True:
+            for i in range(len(win)):
+                if not _step(win, i):
+                    letters.append(i)
+                    break
+                _step(win, i)  # s_i raised the length: take it back
+            else:
+                return tuple(reversed(letters))
 
     def inverse(self) -> "AffinePermutation":
         n = self.k + 1
@@ -172,6 +161,21 @@ class AffinePermutation:
         automorphism of the group.
         """
         return self._derived(tuple(1 - self.value(1 - j) for j in range(1, self.k + 2)))
+
+
+def _step(win: list[int], i: int) -> bool:
+    """Make the window list of w that of w * s_i, in place: swap entries i,
+    i+1 (s_0: the ends, shifted by k+1).  True iff the length went up."""
+    n = len(win)
+    if not 0 <= i < n:
+        raise ValueError(f"generator index must be in 0..{n - 1}, got {i}")
+    if i:
+        a, b = win[i - 1], win[i]
+        win[i - 1], win[i] = b, a
+    else:
+        a, b = win[n - 1] - n, win[0]
+        win[0], win[n - 1] = a, b + n
+    return a < b
 
 
 def rotate_word(word: Iterable[int], m: int, k: int) -> tuple[int, ...]:

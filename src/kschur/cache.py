@@ -19,21 +19,11 @@ import tempfile
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .cores import k_bounded_partitions, w_of_partition
 from .documents import ExpansionDocument
+from .nilcoxeter import certify
+from .reports import IdentityError
 
 ENV_VAR = "KSCHUR_CACHE_DIR"
-
-
-def _certify(doc: ExpansionDocument, k: int, lam: tuple[int, ...]) -> None:
-    if doc.k != k or doc.index != lam:
-        raise ValueError(f"holds the document of k={doc.k} index {doc.index}")
-    coeffs = {t.window: t.coeff for t in doc.terms}
-    for nu in k_bounded_partitions(sum(lam), k):
-        expected = 1 if nu == lam else 0
-        found = coeffs.get(w_of_partition(nu, k).window, 0)
-        if found != expected:
-            raise ValueError(f"coefficient {found} on w_{nu}, expected {expected}")
 
 
 class ExpansionCache:
@@ -50,10 +40,13 @@ class ExpansionCache:
         path = self.file(k, lam)
         try:
             doc = ExpansionDocument.from_json(path.read_text())
-            _certify(doc, k, lam)
+            if doc.k != k or doc.index != lam:
+                raise ValueError(f"holds the document of k={doc.k} index {doc.index}")
+            coeffs = {t.window: t.coeff for t in doc.terms}
+            certify(k, lam, lambda w: coeffs.get(w.window, 0))
         except (FileNotFoundError, NotADirectoryError):
             return None
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError, IdentityError) as exc:
             print(f"warning: ignoring corrupt cache entry {path}: {exc}", file=sys.stderr)
             return None
         return doc

@@ -49,6 +49,13 @@ def parse_partition(text: str) -> tuple[int, ...]:
         raise UsageError(str(exc))
 
 
+def parse_bounded(text: str, k: int) -> tuple[int, ...]:
+    parts = parse_partition(text)
+    if not cores.is_k_bounded(parts, k):
+        raise UsageError(f"partition {parts} is not {k}-bounded")
+    return parts
+
+
 def format_partition(parts: Sequence[int]) -> str:
     return ",".join(map(str, parts))
 
@@ -71,9 +78,7 @@ def kschur_document(
 
 
 def cmd_kschur(args: argparse.Namespace) -> int:
-    lam = parse_partition(args.partition)
-    if not cores.is_k_bounded(lam, args.k):
-        raise UsageError(f"partition {lam} is not {args.k}-bounded")
+    lam = parse_bounded(args.partition, args.k)
     cache = None if args.no_cache else ExpansionCache()
     _emit_document(kschur_document(args.k, lam, cache), args.format)
     return 0
@@ -119,10 +124,13 @@ def cmd_rect(args: argparse.Namespace) -> int:
     return 0
 
 
+KMAX_CEILING = 8  # verify's measured reach: kmax 8 takes minutes, 9 would take hours
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     kmax = args.kmax
-    if kmax < 1:
-        raise UsageError(f"kmax must be >= 1, got {kmax}")
+    if not 1 <= kmax <= KMAX_CEILING:
+        raise UsageError(f"kmax must be in 1..{KMAX_CEILING}, got {kmax}")
     report = Report(())
     if args.suite in ("equiv", "all"):
         report = report.merged(verify_equivalences(kmax))
@@ -186,19 +194,14 @@ def cmd_core(args: argparse.Namespace) -> int:
             current = (cores.u_action if kind == "u" else cores.s_action)(current, i, k)
         emit(current)
     elif args.action == "to-core":
-        lam = parse_partition(args.args[0])
-        if not cores.is_k_bounded(lam, k):
-            raise UsageError(f"partition {lam} is not {k}-bounded")
-        emit(cores.bounded_to_core(lam, k))
+        emit(cores.bounded_to_core(parse_bounded(args.args[0], k), k))
     elif args.action == "to-bounded":
         kappa = parse_partition(args.args[0])
         if not cores.is_core(kappa, k):
             raise UsageError(f"{kappa} is not a {k + 1}-core")
         emit(cores.core_to_bounded(kappa, k))
     elif args.action == "word":
-        lam = parse_partition(args.args[0])
-        if not cores.is_k_bounded(lam, k):
-            raise UsageError(f"partition {lam} is not {k}-bounded")
+        lam = parse_bounded(args.args[0], k)
         w = cores.w_of_partition(lam, k)
         word = w.reduced_word()
         if args.format == "json":
@@ -222,12 +225,7 @@ _CORE_ARG_COUNT = {"act": 2, "to-core": 1, "to-bounded": 1, "word": 1}
 
 
 def cmd_lr(args: argparse.Namespace) -> int:
-    lam = parse_partition(args.lam)
-    mu = parse_partition(args.mu)
-    nu = parse_partition(args.nu)
-    for parts in (lam, mu, nu):
-        if not cores.is_k_bounded(parts, args.k):
-            raise UsageError(f"partition {parts} is not {args.k}-bounded")
+    lam, mu, nu = (parse_bounded(text, args.k) for text in (args.lam, args.mu, args.nu))
     print(lr_coefficient(args.k, lam, mu, nu))
     return 0
 

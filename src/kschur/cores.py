@@ -33,6 +33,14 @@ def is_k_bounded(parts: Sequence[int], k: int) -> bool:
     return not parts or parts[0] <= k
 
 
+def as_bounded(parts: Iterable[int], k: int) -> Partition:
+    """as_partition, for a partition whose parts are at most k."""
+    parts = as_partition(parts)
+    if not is_k_bounded(parts, k):
+        raise ValueError(f"partition {parts} has a part exceeding {k}")
+    return parts
+
+
 def conjugate(parts: Partition) -> Partition:
     """Transpose of the diagram.
 
@@ -208,9 +216,7 @@ def reading_word(parts: Partition, k: int) -> tuple[int, ...]:
 def w_of_partition(parts: Sequence[int], k: int) -> AffinePermutation:
     """The minimal coset representative sending the empty core to the
     core of a k-bounded partition; its length is the partition size."""
-    parts = as_partition(parts)
-    if not is_k_bounded(parts, k):
-        raise ValueError(f"partition {parts} has a part exceeding {k}")
+    parts = as_bounded(parts, k)
     return AffinePermutation.from_word(k, reading_word(parts, k))
 
 
@@ -220,9 +226,7 @@ def bounded_to_core(parts: Sequence[int], k: int) -> Partition:
     Computed by acting on the empty core with the reading word of the
     partition; every step adds at least one corner.
     """
-    parts = as_partition(parts)
-    if not is_k_bounded(parts, k):
-        raise ValueError(f"partition {parts} has a part exceeding {k}")
+    parts = as_bounded(parts, k)
     core = apply_word_nil((), reading_word(parts, k), k)
     if core is None:
         raise IdentityError(f"the reading word of {parts} kills the empty {k + 1}-core")

@@ -17,18 +17,19 @@ from __future__ import annotations
 import threading
 import time
 from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .affine import AffinePermutation
 from .cores import (
     Partition,
     apply_word_nil,
+    as_bounded,
     as_partition,
     bounded_to_core,
     core_to_bounded,
-    is_k_bounded,
     k_bounded_partitions,
     reading_word,
+    union_partitions,
     w_of_partition,
 )
 from .reports import Check, IdentityError, Report
@@ -42,7 +43,8 @@ def basis_times_generator(
     if side == "right":
         return w.times_reduced((i,))
     if side == "left":
-        return None if w.has_left_descent(i) else w.left_mult(i)
+        v = w.inverse().times_reduced((i,))
+        return None if v is None else v.inverse()
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
@@ -262,66 +264,63 @@ def clear_memo() -> None:
         _memo.clear()
 
 
-def _validated(k: int, lam: Sequence[int]) -> Partition:
-    lam = as_partition(lam)
-    if not is_k_bounded(lam, k):
-        raise ValueError(f"partition {lam} has a part exceeding {k}")
-    return lam
-
-
 def kschur(k: int, lam: Sequence[int]) -> AlgebraElement:
     """Standard-basis expansion of the k-Schur function of a k-bounded
-    partition.
-
-    Peels the h-product: the coefficient of u(w_nu) in any k-Schur
-    function indexed by rho is the delta of nu and rho, so the product
-    h_{lam_1} ... h_{lam_l} determines its own expansion into k-Schur
-    functions and the leading term can be solved for recursively.
-    """
-    return _solve(k, _validated(k, lam))[0]
+    partition, solved by certified k-Pieri steps (see `_solve`)."""
+    return _solve(k, as_bounded(lam, k))[0]
 
 
 def kschur_h_expansion(k: int, lam: Sequence[int]) -> dict[Partition, int]:
     """Coefficients of the k-Schur function on the products of h's:
     summing coeff * h_product(k, mu) over the returned map gives
     kschur(k, lam)."""
-    return dict(_solve(k, _validated(k, lam))[1])
+    return dict(_solve(k, as_bounded(lam, k))[1])
+
+
+def certify(k: int, lam: Partition, coefficient: Callable[[AffinePermutation], int]) -> None:
+    """Raise IdentityError unless coefficient(w_nu) is 1 for nu = lam and 0
+    for every other k-bounded nu with |nu| = |lam|; in the degree-|lam| part
+    of the h-subring this holds exactly for the k-Schur function of lam."""
+    for nu in k_bounded_partitions(sum(lam), k):
+        found, expected = coefficient(w_of_partition(nu, k)), int(nu == lam)
+        if found != expected:
+            raise IdentityError(f"{lam} at k={k}: coefficient {found} on w_{nu}, not {expected}")
 
 
 def _solve(k: int, lam: Partition) -> tuple[AlgebraElement, dict[Partition, int]]:
-    """The k-Schur function of lam together with its h-expansion.
-
-    h_lam is the k-Schur function of lam plus c times that of each nu
-    before lam in decreasing lex order, where c is the coefficient of
-    u(w_nu) in h_lam; subtracting those leaves the k-Schur function.
-    By triangularity the coefficient is 1 on w_lam and 0 on every w_nu
-    after lam, which is checked.  The recursion only visits partitions
-    before lam, so it ends.
-    """
+    """The k-Schur function of lam and its h-expansion, by one k-Pieri step:
+    with lam = (i,) + rest, h_i s_rest is the sum of s_nu over nu in
+    pieri_partitions(k, rest, i), among them lam and otherwise nu_1 > i
+    (checked; so the recursion ends, as nu_1 <= k).  The h's commute, so
+    the words of h_i fold on the right of each term of s_rest."""
     key = (k, lam)
     got = _memo.get(key)
     if got is not None:
         return got
-    hprod = h_product(k, lam)
-    partitions = k_bounded_partitions(sum(lam), k)
-    at = partitions.index(lam)
-    for nu in partitions[at:]:
-        c = hprod.coefficient(w_of_partition(nu, k))
-        if c != (nu == lam):
-            raise IdentityError(
-                f"h_{lam} at k={k} has coefficient {c} on w_{nu}, expected {int(nu == lam)}"
-            )
-    terms = dict(hprod._terms)
-    expansion = {lam: 1}
-    for nu in partitions[:at]:
-        c = hprod.coefficient(w_of_partition(nu, k))
-        if c:
-            element, nu_expansion = _solve(k, nu)
-            for w, d in element._terms.items():
-                terms[w] = terms.get(w, 0) - c * d
+    if not lam:
+        terms, expansion = {AffinePermutation.identity(k): 1}, {(): 1}
+    else:
+        i, rest = lam[0], lam[1:]
+        element, rest_expansion = _solve(k, rest)
+        words = [cyclically_decreasing_word(k, s) for s in combinations(range(k + 1), i)]
+        terms = {}
+        for w, c in element._terms.items():
+            for word in words:
+                v = w.times_reduced(word)
+                if v is not None:
+                    terms[v] = terms.get(v, 0) + c
+        expansion = {union_partitions(mu, (i,)): c for mu, c in rest_expansion.items()}
+        strip = pieri_partitions(k, rest, i)  # sorted, so lam comes first
+        if strip[:1] != [lam] or any(nu[0] <= i for nu in strip[1:]):
+            raise IdentityError(f"h_{i} s_{rest} at k={k} gives {strip}, not {lam} and nu_1 > {i}")
+        for nu in strip[1:]:
+            nu_element, nu_expansion = _solve(k, nu)
+            for w, d in nu_element._terms.items():
+                terms[w] = terms.get(w, 0) - d
             for mu, d in nu_expansion.items():
-                expansion[mu] = expansion.get(mu, 0) - c * d
+                expansion[mu] = expansion.get(mu, 0) - d
     result = (AlgebraElement(k, terms), {mu: d for mu, d in expansion.items() if d})
+    certify(k, lam, result[0].coefficient)
     with _memo_lock:
         return _memo.setdefault(key, result)
 
@@ -342,9 +341,9 @@ def lr_coefficient(
     nu inside the standard basis action; the coefficient is its
     coefficient in kschur(k, lam) when that element exists, else 0.
     """
-    lam = _validated(k, lam)
-    mu = _validated(k, mu)
-    nu = _validated(k, nu)
+    lam = as_bounded(lam, k)
+    mu = as_bounded(mu, k)
+    nu = as_bounded(nu, k)
     if sum(nu) != sum(lam) + sum(mu):
         return 0
     w = w_of_partition(nu, k) * w_of_partition(mu, k).inverse()
@@ -359,7 +358,7 @@ def pieri_partitions(k: int, lam: Sequence[int], i: int) -> list[Partition]:
     """The partitions appearing in h_i times the k-Schur function of lam:
     one for each i-subset of generator indices whose cyclically
     decreasing product acts without dying on the core of lam."""
-    lam = _validated(k, lam)
+    lam = as_bounded(lam, k)
     core = bounded_to_core(lam, k)
     seen: set[Partition] = set()
     for subset in combinations(range(k + 1), i):

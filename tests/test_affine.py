@@ -100,6 +100,34 @@ def test_reduced_word_roundtrip_random():
         assert len(word) == w.length()
 
 
+def reference_reduced_word(w):
+    """Peel the smallest right descent, on a plain window list: the letters
+    documents store, so they must not change."""
+    n = w.k + 1
+    win = list(w.window)
+    letters = []
+    while True:
+        descents = [i for i in range(1, n) if win[i - 1] > win[i]]
+        if win[n - 1] - n > win[0]:
+            descents.insert(0, 0)
+        if not descents:
+            return tuple(reversed(letters))
+        i = descents[0]
+        if i:
+            win[i - 1], win[i] = win[i], win[i - 1]
+        else:
+            win[0], win[n - 1] = win[n - 1] - n, win[0] + n
+        letters.append(i)
+
+
+def test_reduced_word_matches_reference_peel():
+    rng = random.Random(9)
+    for _ in range(500):
+        k = rng.randint(1, 5)
+        w = random_element(rng, k, max_len=20)
+        assert w.reduced_word() == reference_reduced_word(w), w.window
+
+
 def test_reduced_word_known_cases():
     assert AffinePermutation.identity(4).reduced_word() == ()
     w = AffinePermutation(4, (3, 4, 5, 1, 2))

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -140,6 +141,15 @@ def test_verify_command_equiv_suite(capsys):
 def test_verify_command_bad_kmax(capsys):
     code, _, err = run_cli(capsys, "verify", "--kmax", "0")
     assert code == 2
+
+
+def test_verify_command_kmax_ceiling(capsys):
+    # above the measured reach a sweep would run for hours: refused at once
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--kmax", "9", "--suite", "all")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: kmax must be in 1..8")
 
 
 def test_core_command_act(capsys):

@@ -22,6 +22,7 @@ from kschur.nilcoxeter import (
     pieri_partitions,
     verify_pieri,
 )
+from kschur.reports import IdentityError
 
 
 def element_from_words(k, words):
@@ -64,6 +65,21 @@ def test_basis_times_generator():
     assert basis_times_generator(s1s0, 1, "right") == s1s0.right_mult(1)
     with pytest.raises(ValueError):
         basis_times_generator(e, 1, "middle")
+
+
+def test_left_generator_matches_product_and_length():
+    rng = random.Random(8)
+    for k in range(1, 5):
+        for _ in range(40):
+            word = [rng.randrange(k + 1) for _ in range(rng.randrange(9))]
+            w = AffinePermutation.from_word(k, word)
+            for i in range(k + 1):
+                product = AffinePermutation.from_word(k, (i,)) * w
+                got = basis_times_generator(w, i, "left")
+                if product.length() == w.length() + 1:
+                    assert got == product, (k, w.window, i)
+                else:
+                    assert got is None, (k, w.window, i)
 
 
 def test_zero_coefficients_dropped():
@@ -315,17 +331,70 @@ def test_kschur_h_expansion_reassembles():
 
 
 def test_kschur_and_h_expansion_share_one_solve(monkeypatch):
-    calls = Counter()
+    # each Pieri step of lam = (i,) + rest asks for pieri_partitions(k, rest, i) once
+    steps = Counter()
 
-    def counting(k, mu):
-        calls[(k, tuple(mu))] += 1
-        return h_product(k, mu)
+    def counting(k, rest, i):
+        steps[(k, (i,) + tuple(rest))] += 1
+        return pieri_partitions(k, rest, i)
 
-    monkeypatch.setattr(nilcoxeter, "h_product", counting)
+    monkeypatch.setattr(nilcoxeter, "pieri_partitions", counting)
     nilcoxeter.clear_memo()
     kschur(4, (2, 2, 2))
     kschur_h_expansion(4, (2, 2, 2))
-    assert calls and set(calls.values()) == {1}, calls
+    assert (4, (2, 2, 2)) in steps and set(steps.values()) == {1}, steps
+
+
+@pytest.mark.parametrize(
+    "change",
+    [lambda strip: strip[1:], lambda strip: sorted(strip + [(1, 1, 1)])],
+    ids=["lam missing", "nu_1 <= lam_1"],
+)
+def test_pieri_step_rejects_bad_strip(monkeypatch, change):
+    # a Pieri set without lam, or with another nu whose first part is not
+    # above lam_1, would leave a wrong result or a recursion that never ends
+    def patched(k, rest, i):
+        strip = pieri_partitions(k, rest, i)
+        return change(strip) if (k, tuple(rest), i) == (3, (1,), 2) else strip
+
+    monkeypatch.setattr(nilcoxeter, "pieri_partitions", patched)
+    nilcoxeter.clear_memo()
+    with pytest.raises(IdentityError):
+        kschur(3, (2, 1))
+    nilcoxeter.clear_memo()
+
+
+def triangular_solve(k, lam, memo):
+    """The k-Schur function of lam and its h-expansion by peeling h_lam,
+    the former solve, kept as an oracle: h_lam is s_lam plus c times s_nu
+    for each nu before lam in decreasing lex order, c the coefficient of
+    u(w_nu) in h_lam, and 0 on every w_nu after lam."""
+    if lam not in memo:
+        hprod = h_product(k, lam)
+        partitions = k_bounded_partitions(sum(lam), k)
+        at = partitions.index(lam)
+        for nu in partitions[at:]:
+            assert hprod.coefficient(w_of_partition(nu, k)) == (nu == lam), (k, lam, nu)
+        element, expansion = hprod, {lam: 1}
+        for nu in partitions[:at]:
+            c = hprod.coefficient(w_of_partition(nu, k))
+            if c:
+                nu_element, nu_expansion = triangular_solve(k, nu, memo)
+                element = element - c * nu_element
+                for mu, d in nu_expansion.items():
+                    expansion[mu] = expansion.get(mu, 0) - c * d
+        memo[lam] = (element, {mu: d for mu, d in expansion.items() if d})
+    return memo[lam]
+
+
+def test_pieri_step_matches_triangular_solve():
+    for k in range(1, 6):
+        memo = {}
+        for n in range(7 if k == 5 else 8):
+            for lam in k_bounded_partitions(n, k):
+                element, expansion = triangular_solve(k, lam, memo)
+                assert kschur(k, lam) == element, (k, lam)
+                assert kschur_h_expansion(k, lam) == expansion, (k, lam)
 
 
 def test_pieri_partitions_match_product():

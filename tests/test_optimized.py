@@ -14,22 +14,21 @@ import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# h_{(2,1)} at k=3 gains a term on w_{(1,1,1)}, a partition after (2,1)
-# in lex order, which no k-Schur function below (2,1) can carry
+# the Pieri set of h_2 s_(1) at k=3 is {(2,1), (3,)}; with (3,) dropped the
+# step leaves s_(2,1) + s_(3), which the certificate must reject
 STRAY_TERM = """
 from kschur import nilcoxeter
-from kschur.cores import w_of_partition
 from kschur.reports import IdentityError
 
-real = nilcoxeter.h_product
+real = nilcoxeter.pieri_partitions
 
-def h_product(k, mu):
-    x = real(k, mu)
-    if (k, tuple(mu)) == (3, (2, 1)):
-        x = x + nilcoxeter.AlgebraElement.basis(w_of_partition((1, 1, 1), 3))
-    return x
+def pieri_partitions(k, lam, i):
+    found = real(k, lam, i)
+    if (k, tuple(lam), i) == (3, (1,), 2):
+        found.remove((3,))
+    return found
 
-nilcoxeter.h_product = h_product
+nilcoxeter.pieri_partitions = pieri_partitions
 try:
     nilcoxeter.kschur(3, (2, 1))
 except IdentityError as exc:
