@@ -31,6 +31,25 @@ from .rectangles import (
 from .reports import Report
 
 
+# Ceilings on the input, so that a request past the measured reach of the
+# code is refused at once instead of recursing too deep or running for
+# hours.  Measured on a 2-vCPU VM with Python 3.11.
+#
+# verify --kmax, and the k of kschur and lr: kmax 8 takes minutes (about
+# 160 s and 1.3 GB), 9 would take hours
+KMAX_CEILING = 8
+# the size of every k-bounded partition argument: it admits the 4x4
+# rectangle at k = 7, and at k = 8 the slowest size-16 partitions tried
+# take up to 107 s and 1 GB, within what verify --kmax 8 takes
+SIZE_CEILING = 16
+# a core argument may be as large as the largest core of an admitted
+# partition, the 2-core of (1^SIZE_CEILING)
+CORE_SIZE_CEILING = SIZE_CEILING * (SIZE_CEILING + 1) // 2
+# rect --k: the slowest row (all four formulas) takes 1.0 s at k = 10,
+# 2.5 s at k = 11 and 5.3 s at k = 12, and grows about 2.3 times per k
+RECT_K_CEILING = 12
+
+
 class UsageError(Exception):
     pass
 
@@ -53,7 +72,23 @@ def parse_bounded(text: str, k: int) -> tuple[int, ...]:
     parts = parse_partition(text)
     if not cores.is_k_bounded(parts, k):
         raise UsageError(f"partition {parts} is not {k}-bounded")
+    if sum(parts) > SIZE_CEILING:
+        raise UsageError(f"partition size must be at most {SIZE_CEILING}, got {sum(parts)}")
     return parts
+
+
+def parse_core(text: str, k: int) -> tuple[int, ...]:
+    parts = parse_partition(text)
+    if sum(parts) > CORE_SIZE_CEILING:
+        raise UsageError(f"core size must be at most {CORE_SIZE_CEILING}, got {sum(parts)}")
+    if not cores.is_core(parts, k):
+        raise UsageError(f"{parts} is not a {k + 1}-core")
+    return parts
+
+
+def check_solve_rank(k: int) -> None:
+    if k > KMAX_CEILING:
+        raise UsageError(f"k must be at most {KMAX_CEILING}, got {k}")
 
 
 def format_partition(parts: Sequence[int]) -> str:
@@ -78,6 +113,7 @@ def kschur_document(
 
 
 def cmd_kschur(args: argparse.Namespace) -> int:
+    check_solve_rank(args.k)
     lam = parse_bounded(args.partition, args.k)
     cache = None if args.no_cache else ExpansionCache()
     _emit_document(kschur_document(args.k, lam, cache), args.format)
@@ -93,6 +129,8 @@ _FORMULAS = {
 
 
 def cmd_rect(args: argparse.Namespace) -> int:
+    if args.k > RECT_K_CEILING:
+        raise UsageError(f"k must be at most {RECT_K_CEILING}, got {args.k}")
     if not 1 <= args.rows <= args.k:
         raise UsageError(f"rows must be in 1..{args.k}, got {args.rows}")
     rect = Rectangle.with_rows(args.k, args.rows)
@@ -122,9 +160,6 @@ def cmd_rect(args: argparse.Namespace) -> int:
             print(docs[name].to_text())
         print(f"equal: {str(equal).lower()}")
     return 0
-
-
-KMAX_CEILING = 8  # verify's measured reach: kmax 8 takes minutes, 9 would take hours
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -184,10 +219,7 @@ def cmd_core(args: argparse.Namespace) -> int:
         for _, i in chain:
             if not 0 <= i <= k:
                 raise UsageError(f"generator index {i} out of range 0..{k}")
-        parts = parse_partition(args.args[1])
-        if not cores.is_core(parts, k):
-            raise UsageError(f"{parts} is not a {k + 1}-core")
-        current: Optional[tuple[int, ...]] = parts
+        current: Optional[tuple[int, ...]] = parse_core(args.args[1], k)
         for kind, i in reversed(chain):
             if current is None:
                 break
@@ -196,10 +228,7 @@ def cmd_core(args: argparse.Namespace) -> int:
     elif args.action == "to-core":
         emit(cores.bounded_to_core(parse_bounded(args.args[0], k), k))
     elif args.action == "to-bounded":
-        kappa = parse_partition(args.args[0])
-        if not cores.is_core(kappa, k):
-            raise UsageError(f"{kappa} is not a {k + 1}-core")
-        emit(cores.core_to_bounded(kappa, k))
+        emit(cores.core_to_bounded(parse_core(args.args[0], k), k))
     elif args.action == "word":
         lam = parse_bounded(args.args[0], k)
         w = cores.w_of_partition(lam, k)
@@ -225,6 +254,7 @@ _CORE_ARG_COUNT = {"act": 2, "to-core": 1, "to-bounded": 1, "word": 1}
 
 
 def cmd_lr(args: argparse.Namespace) -> int:
+    check_solve_rank(args.k)
     lam, mu, nu = (parse_bounded(text, args.k) for text in (args.lam, args.mu, args.nu))
     print(lr_coefficient(args.k, lam, mu, nu))
     return 0

@@ -5,12 +5,13 @@ Schema (stable):
      "index": [int, ...] | {"rows": int, "cols": int},
      "terms": [{"window": [int, ...], "word": [int, ...], "coeff": int}, ...]}
 
-Terms are sorted by window, lexicographically.  The window is the
-authoritative key; the word is carried for readability and must be a
-reduced word for it, which the reader checks by folding the word from
-the identity once the window has k + 1 entries, so a huge k costs
-nothing.  Every value the schema types as int must be a JSON integer:
-floats and booleans are rejected.
+Terms are strictly increasing by window, lexicographically, which the
+reader checks, so no window repeats.  The window is the authoritative
+key; the word is carried for readability and must be a reduced word for
+it, which the reader checks by folding the word from the identity once
+the window has k + 1 entries, so a huge k costs nothing.  Every value
+the schema types as int must be a JSON integer: floats and booleans are
+rejected.
 """
 
 from __future__ import annotations
@@ -100,6 +101,8 @@ class ExpansionDocument:
             window = _integers(t["window"])
             if len(window) != k + 1:
                 raise ValueError(f"window needs {k + 1} entries, got {len(window)}")
+            if terms and window <= terms[-1].window:
+                raise ValueError(f"window {window} does not follow {terms[-1].window}")
             if identity is None:
                 identity = AffinePermutation.identity(k)
             word = _integers(t["word"])

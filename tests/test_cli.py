@@ -11,7 +11,14 @@ import pytest
 
 from kschur.affine import AffinePermutation
 from kschur.cache import ExpansionCache
-from kschur.cli import main, parse_generator_chain, parse_partition
+from kschur.cli import (
+    CORE_SIZE_CEILING,
+    RECT_K_CEILING,
+    SIZE_CEILING,
+    main,
+    parse_generator_chain,
+    parse_partition,
+)
 from kschur.cores import k_bounded_partitions, w_of_partition
 from kschur.documents import ExpansionDocument
 from kschur.nilcoxeter import AlgebraElement, h, kschur
@@ -150,6 +157,46 @@ def test_verify_command_kmax_ceiling(capsys):
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert err.startswith("error: kmax must be in 1..8")
+
+
+ONES_1200 = ",".join(["1"] * 1200)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["kschur", "--k", "1", "--partition", ONES_1200, "--no-cache"], "partition size"),
+        (["kschur", "--k", "9", "--partition", "1", "--no-cache"], "k must be at most 8"),
+        (["lr", "--k", "60", "--lambda", "30", "--mu", "", "--nu", "30"], "k must be at most 8"),
+        (["lr", "--k", "8", "--lambda", "1", "--mu", "8,8,1", "--nu", "8,8,2"], "partition size"),
+        (["rect", "--k", "40", "--rows", "20"], "k must be at most"),
+        (["core", "--k", "3", "to-bounded", "30000000"], "core size"),
+        (["core", "--k", "3", "act", "u0", "30000000"], "core size"),
+        (["core", "--k", "1", "to-core", ONES_1200], "partition size"),
+    ],
+    ids=["kschur size", "kschur k", "lr k", "lr size", "rect k", "to-bounded", "act", "to-core"],
+)
+def test_input_ceilings(capsys, argv, message):
+    # past the measured reach a request would recurse too deep or run for
+    # hours: refused at once
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+
+
+def test_input_ceilings_admit_their_edge(capsys):
+    ones = ",".join(["1"] * SIZE_CEILING)
+    code, out, _ = run_cli(capsys, "kschur", "--k", "1", "--partition", ones, "--no-cache")
+    assert code == 0 and out
+    # the core of the largest admitted partition is itself admitted
+    code, core, _ = run_cli(capsys, "core", "--k", "1", "to-core", ones)
+    assert code == 0 and sum(parse_partition(core)) == CORE_SIZE_CEILING
+    code, out, _ = run_cli(capsys, "core", "--k", "1", "to-bounded", core.strip())
+    assert (code, out.strip()) == (0, ones)
+    code, _, _ = run_cli(capsys, "rect", "--k", str(RECT_K_CEILING), "--rows", "1", "--formula", "z")
+    assert code == 0
 
 
 def test_core_command_act(capsys):
@@ -399,6 +446,33 @@ def test_cache_corrupt_entry_recomputes(tmp_path, capsys, monkeypatch):
         assert (code, out.strip()) == (0, doc.to_json())
         assert "corrupt" in err
         assert cache.get(3, lam) == doc
+
+
+@pytest.mark.parametrize("disorder", ["repeated", "swapped"])
+def test_cache_terms_out_of_order_recompute(tmp_path, capsys, monkeypatch, disorder):
+    """A cached document whose terms are not strictly increasing by window
+    is corrupt, even when it also changes a coefficient off the Grassmannian
+    elements, which the certificate does not read."""
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    argv = ["kschur", "--k", "4", "--partition", "2,2,1", "--format", "json"]
+    code, uncached, _ = run_cli(capsys, *argv, "--no-cache")
+    assert code == 0
+    run_cli(capsys, *argv)
+    path = ExpansionCache(tmp_path).file(4, (2, 2, 1))
+    data = json.loads(path.read_text())
+    grassmannian = {w_of_partition(nu, 4).window for nu in k_bounded_partitions(5, 4)}
+    other = next(t for t in data["terms"] if tuple(t["window"]) not in grassmannian)
+    other["coeff"] = 7
+    terms = data["terms"]
+    if disorder == "repeated":
+        terms.append(dict(terms[0]))
+    else:
+        terms[0], terms[1] = terms[1], terms[0]
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (0, uncached)
+    assert "warning: ignoring corrupt cache entry" in err
+    assert path.read_text() == uncached.strip()
 
 
 def test_cache_float_and_bool_values_recompute(tmp_path, capsys, monkeypatch):

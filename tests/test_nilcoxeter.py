@@ -4,13 +4,14 @@ from itertools import combinations, permutations
 
 import pytest
 
-from kschur import nilcoxeter
+from kschur import cores, nilcoxeter
 from kschur.affine import AffinePermutation
 from kschur.cores import bounded_to_core, k_bounded_partitions, w_of_partition
 from kschur.nilcoxeter import (
     AlgebraElement,
     act_on_core,
     basis_times_generator,
+    certify,
     cyclically_decreasing,
     cyclically_decreasing_word,
     h,
@@ -22,6 +23,7 @@ from kschur.nilcoxeter import (
     pieri_partitions,
     verify_pieri,
 )
+from kschur.rectangles import Rectangle, by_windows
 from kschur.reports import IdentityError
 
 
@@ -331,36 +333,60 @@ def test_kschur_h_expansion_reassembles():
 
 
 def test_kschur_and_h_expansion_share_one_solve(monkeypatch):
-    # each Pieri step of lam = (i,) + rest asks for pieri_partitions(k, rest, i) once
-    steps = Counter()
+    # every solved (k, lam) passes the certificate once, whichever view asked
+    certified = Counter()
 
-    def counting(k, rest, i):
-        steps[(k, (i,) + tuple(rest))] += 1
-        return pieri_partitions(k, rest, i)
+    def counting(k, lam, coefficient):
+        certified[(k, lam)] += 1
+        return certify(k, lam, coefficient)
 
-    monkeypatch.setattr(nilcoxeter, "pieri_partitions", counting)
+    monkeypatch.setattr(nilcoxeter, "certify", counting)
     nilcoxeter.clear_memo()
     kschur(4, (2, 2, 2))
     kschur_h_expansion(4, (2, 2, 2))
-    assert (4, (2, 2, 2)) in steps and set(steps.values()) == {1}, steps
+    assert (4, (2, 2, 2)) in certified and set(certified.values()) == {1}, certified
+
+
+def _twice_s1():
+    return 2 * kschur(3, (1,)), {(1,): 2}
+
+
+def _s2_plus_s11():
+    # h_2 (s_2 + s_11) = s_22 + s_31 + s_211 at k=3: coefficient 1 on w_22
+    expansion = Counter(kschur_h_expansion(3, (2,)))
+    expansion.update(kschur_h_expansion(3, (1, 1)))
+    return kschur(3, (2,)) + kschur(3, (1, 1)), dict(expansion)
 
 
 @pytest.mark.parametrize(
-    "change",
-    [lambda strip: strip[1:], lambda strip: sorted(strip + [(1, 1, 1)])],
-    ids=["lam missing", "nu_1 <= lam_1"],
+    "lam, rest, fake",
+    [
+        ((2, 1), (1,), lambda: (AlgebraElement.zero(3), {})),
+        ((2, 1), (1,), _twice_s1),
+        ((2, 2), (2,), _s2_plus_s11),
+    ],
+    ids=["lam missing", "lam twice", "nu_1 <= lam_1"],
 )
-def test_pieri_step_rejects_bad_strip(monkeypatch, change):
-    # a Pieri set without lam, or with another nu whose first part is not
-    # above lam_1, would leave a wrong result or a recursion that never ends
-    def patched(k, rest, i):
-        strip = pieri_partitions(k, rest, i)
-        return change(strip) if (k, tuple(rest), i) == (3, (1,), 2) else strip
-
-    monkeypatch.setattr(nilcoxeter, "pieri_partitions", patched)
+def test_pieri_step_rejects_bad_strip(monkeypatch, lam, rest, fake):
+    # a wrong s_rest in the memo gives the step a coefficient other than 1
+    # on w_lam, or an excess on some nu with nu_1 <= lam_1; the step must
+    # raise before it solves any nu, else a wrong result or a recursion
+    # that never ends could follow
     nilcoxeter.clear_memo()
+    entry = fake()
+    nilcoxeter.clear_memo()
+    monkeypatch.setitem(nilcoxeter._memo, (3, rest), entry)
+    solved = []
+    real = nilcoxeter._solve
+
+    def recording(k, nu):
+        solved.append(nu)
+        return real(k, nu)
+
+    monkeypatch.setattr(nilcoxeter, "_solve", recording)
     with pytest.raises(IdentityError):
-        kschur(3, (2, 1))
+        kschur(3, lam)
+    assert solved == [lam, rest]
     nilcoxeter.clear_memo()
 
 
@@ -413,6 +439,43 @@ def test_verify_pieri_report():
     report = verify_pieri(2, max_size=3)
     assert report.passed
     assert all(c.seconds >= 0 for c in report.checks)
+
+
+def test_verify_pieri_is_independent_of_the_solve(monkeypatch):
+    # a Pieri set that drops (3,) from h_2 s_(1) at k=3 must fail the sweep,
+    # and must not move any k-Schur function, which the solve reads off the
+    # algebra alone
+    nilcoxeter.clear_memo()
+    partitions = [lam for n in range(7) for lam in k_bounded_partitions(n, 3)]
+    before = [kschur(3, lam) for lam in partitions]
+
+    def dropping(k, lam, i):
+        found = pieri_partitions(k, lam, i)
+        return [mu for mu in found if mu != (3,)] if (k, lam, i) == (3, (1,), 2) else found
+
+    monkeypatch.setattr(nilcoxeter, "pieri_partitions", dropping)
+    nilcoxeter.clear_memo()
+    assert [kschur(3, lam) for lam in partitions] == before
+    report = verify_pieri(3, max_size=3)
+    assert not report.passed
+    assert [c.details for c in report.checks if not c.passed] == [
+        {"k": 3, "partition": [1], "failed_at": 2}
+    ]
+
+
+def test_solve_and_lr_coefficient_use_no_core_action(monkeypatch):
+    # the core action is an oracle the algebra is checked against, so
+    # neither the solve nor lr_coefficient may call it
+    expected = by_windows(Rectangle(4, cols=2, rows=3))
+
+    def refuse(*args):
+        raise RuntimeError("core action called")
+
+    monkeypatch.setattr(cores, "s_action", refuse)
+    nilcoxeter.clear_memo()
+    assert kschur(4, (2, 2, 2)) == expected
+    assert lr_coefficient(4, (2, 2, 2), (1,), (2, 2, 2, 1)) == 1
+    nilcoxeter.clear_memo()
 
 
 def test_lr_coefficient_identity_cases():
