@@ -121,15 +121,20 @@ class AffinePermutation:
         length equals w.length().
         """
         win = list(self.window)
+        n = len(win)
         letters = []
         while True:
-            for i in range(len(win)):
-                if not _step(win, i):
-                    letters.append(i)
-                    break
-                _step(win, i)  # s_i raised the length: take it back
+            # s_0 is a right descent iff w(0) > w(1), s_i iff w(i) > w(i+1)
+            if win[n - 1] - n > win[0]:
+                i = 0
             else:
-                return tuple(reversed(letters))
+                for i in range(1, n):
+                    if win[i - 1] > win[i]:
+                        break
+                else:
+                    return tuple(reversed(letters))
+            _step(win, i)
+            letters.append(i)
 
     def inverse(self) -> "AffinePermutation":
         n = self.k + 1

@@ -5,13 +5,17 @@ representative as a tuple of Fractions and compare modulo the diagonal.
 The fundamental alcove is {a : a_1 >= a_2 >= ... >= a_{k+1} >= a_1 - 1};
 its images under the group tile V, and each group element w is pinned
 down by the centroid of its alcove.  All arithmetic is exact: wall
-membership tests would be meaningless in floating point.
+membership tests would be meaningless in floating point.  The public
+functions take and return Fractions; the greedy walk behind `alcove_of`
+and `pseudo_translation` runs on integers, the point scaled by a common
+denominator D, which puts the s_0 wall at D.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Sequence
 
 from .affine import AffinePermutation
@@ -136,39 +140,56 @@ def alcove_of(point: Sequence) -> AffinePermutation:
     record it.  The recorded word is reduced and the returned w
     satisfies: w applied to the point lands inside the fundamental
     alcove.  A point on any reflection hyperplane raises ValueError.
+    The walk runs on the point scaled by the lcm of its denominators.
     """
     p = make_point(point)
-    k = len(p) - 1
-    n = k + 1
+    d = lcm(*(x.denominator for x in p))
+    return _walk([x.numerator * (d // x.denominator) for x in p], d)
+
+
+def _walk(p: list[int], d: int) -> AffinePermutation:
+    """The greedy walk of `alcove_of` on a point scaled by d, so that the
+    s_0 wall sits at d; reflects p in place."""
+    n = len(p)
     letters: list[int] = []
     while True:
-        if p[0] - p[n - 1] > 1:
-            p = reflect(0, p)
+        if p[0] - p[n - 1] > d:
+            p[0], p[n - 1] = p[n - 1] + d, p[0] - d
             letters.append(0)
             continue
         for i in range(1, n):
             if p[i - 1] < p[i]:
-                p = reflect(i, p)
+                p[i - 1], p[i] = p[i], p[i - 1]
                 letters.append(i)
                 break
         else:
             break
-    on_wall = any(p[i - 1] == p[i] for i in range(1, n)) or p[0] - p[n - 1] == 1
-    if on_wall:
+    if any(p[i - 1] == p[i] for i in range(1, n)) or p[0] - p[n - 1] == d:
         raise ValueError("point on wall")
-    return AffinePermutation.from_word(k, reversed(letters))
+    return AffinePermutation.from_word(n - 1, reversed(letters))
 
 
 def pseudo_translation(gamma: Sequence[int]) -> AffinePermutation:
     """The element carrying the fundamental alcove to its translate by
     an integer weight (acting on other alcoves it translates them too,
-    generally in different directions)."""
+    generally in different directions).
+
+    The walk and the certificate run on the target centroid scaled by
+    k+1: coordinate j of the centroid of w, times k+1, is
+    (k - t) - q(k+1) where w(j) = t + q(k+1) + 1 with t in 0..k, and it
+    must match the target modulo the diagonal.
+    """
     if any(int(x) != x for x in gamma):
         raise ValueError(f"weight must be integral: {gamma}")
-    k = len(gamma) - 1
-    target = add_points(fundamental_centroid(k), gamma)
-    w = alcove_of(target)
-    if not same_point(centroid(w), target):
+    n = len(gamma)
+    target = [n - 1 - t + n * int(x) for t, x in enumerate(gamma)]
+    w = _walk(list(target), n)
+    offsets = set()
+    for j, a in enumerate(w.window):
+        q, t = divmod(a - 1, n)
+        offsets.add(n - 1 - t - q * n - target[j])
+    if len(offsets) != 1:
+        target = add_points(fundamental_centroid(n - 1), gamma)
         raise IdentityError(f"alcove of {target} does not have it as centroid")
     return w
 

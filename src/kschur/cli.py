@@ -45,8 +45,13 @@ SIZE_CEILING = 16
 # a core argument may be as large as the largest core of an admitted
 # partition, the 2-core of (1^SIZE_CEILING)
 CORE_SIZE_CEILING = SIZE_CEILING * (SIZE_CEILING + 1) // 2
-# rect --k: the slowest row (all four formulas) takes 1.0 s at k = 10,
-# 2.5 s at k = 11 and 5.3 s at k = 12, and grows about 2.3 times per k
+# the letters of a core act chain, each of which can add cells: on the
+# largest admitted core at k = 1 (the fastest growth), 128 letters take
+# about 0.25 s, 256 about 0.9 s and 400 about 3 s
+CHAIN_CEILING = 128
+# rect --k: the slowest row (all four formulas) takes 0.21 s at k = 10,
+# 0.37 s at k = 11 and 0.63 s at k = 12, and grows about 1.7 times per k;
+# the ceiling stays at 12, so that exit codes stay as they were
 RECT_K_CEILING = 12
 
 
@@ -139,12 +144,15 @@ def cmd_rect(args: argparse.Namespace) -> int:
         _emit_document(ExpansionDocument.from_element(rect, element), args.format)
         return 0
     elements = {name: fn(rect) for name, fn in _FORMULAS.items()}
+    first = elements["x"]
+    same = {name: element == first for name, element in elements.items()}
+    # a formula whose element equals x's shares x's document
+    shared = ExpansionDocument.from_element(rect, first)
     docs = {
-        name: ExpansionDocument.from_element(rect, element)
+        name: shared if same[name] else ExpansionDocument.from_element(rect, element)
         for name, element in elements.items()
     }
-    first = elements["x"]
-    equal = all(element == first for element in elements.values())
+    equal = all(same.values())
     if args.format == "json":
         payload = {
             "k": args.k,
@@ -216,6 +224,10 @@ def cmd_core(args: argparse.Namespace) -> int:
 
     if args.action == "act":
         chain = parse_generator_chain(args.args[0])
+        if len(chain) > CHAIN_CEILING:
+            raise UsageError(
+                f"generator chain must have at most {CHAIN_CEILING} letters, got {len(chain)}"
+            )
         for _, i in chain:
             if not 0 <= i <= k:
                 raise UsageError(f"generator index {i} out of range 0..{k}")

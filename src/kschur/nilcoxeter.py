@@ -283,16 +283,25 @@ def certify(k: int, lam: Partition, coefficient: Callable[[AffinePermutation], i
     """Raise IdentityError unless coefficient(w_nu) is 1 for nu = lam and 0
     for every other k-bounded nu with |nu| = |lam|; in the degree-|lam| part
     of the h-subring this holds exactly for the k-Schur function of lam."""
-    if excess := _excess(k, lam, coefficient):
+    _certify(k, lam, _grassmannians(k, sum(lam)), coefficient)
+
+
+def _grassmannians(k: int, n: int) -> list[tuple[Partition, AffinePermutation]]:
+    """(nu, w_nu) for every k-bounded nu with |nu| = n."""
+    return [(nu, w_of_partition(nu, k)) for nu in k_bounded_partitions(n, k)]
+
+
+def _certify(k: int, lam: Partition, grassmannians: list, coefficient: Callable) -> None:
+    """`certify`, on the Grassmannian elements of degree |lam| built already."""
+    if excess := _excess(lam, grassmannians, coefficient):
         raise IdentityError(f"{lam} at k={k}: coefficient minus delta on w_nu is {excess}")
 
 
-def _excess(k: int, lam: Partition, coefficient: Callable[[AffinePermutation], int]) -> dict:
-    """The nonzero coefficient(w_nu) - delta_{lam nu} over k-bounded nu with
-    |nu| = |lam|: in the h-subring, the multiplicity of s_nu less that of
+def _excess(lam: Partition, grassmannians: list, coefficient: Callable) -> dict:
+    """The nonzero coefficient(w_nu) - delta_{lam nu} over the (nu, w_nu) of
+    degree |lam|: in the h-subring, the multiplicity of s_nu less that of
     s_lam, since s_rho has coefficient delta_{rho nu} on w_nu."""
-    partitions = k_bounded_partitions(sum(lam), k)
-    excess = {nu: coefficient(w_of_partition(nu, k)) - (nu == lam) for nu in partitions}
+    excess = {nu: coefficient(w) - (nu == lam) for nu, w in grassmannians}
     return {nu: c for nu, c in excess.items() if c}
 
 
@@ -306,6 +315,7 @@ def _solve(k: int, lam: Partition) -> tuple[AlgebraElement, dict[Partition, int]
     got = _memo.get(key)
     if got is not None:
         return got
+    grassmannians = _grassmannians(k, sum(lam))  # read by the step and the certificate
     if not lam:
         terms, expansion = {AffinePermutation.identity(k): 1}, {(): 1}
     else:
@@ -319,7 +329,7 @@ def _solve(k: int, lam: Partition) -> tuple[AlgebraElement, dict[Partition, int]
                 if v is not None:
                     terms[v] = terms.get(v, 0) + c
         expansion = {union_partitions(mu, (i,)): c for mu, c in rest_expansion.items()}
-        excess = _excess(k, lam, lambda w: terms.get(w, 0))
+        excess = _excess(lam, grassmannians, lambda w: terms.get(w, 0))
         if any(nu[0] <= i for nu in excess):
             raise IdentityError(f"h_{i} s_{rest} at k={k}: excess {excess}, not only nu_1 > {i}")
         for nu, c in excess.items():
@@ -329,7 +339,7 @@ def _solve(k: int, lam: Partition) -> tuple[AlgebraElement, dict[Partition, int]
             for mu, d in nu_expansion.items():
                 expansion[mu] = expansion.get(mu, 0) - c * d
     result = (AlgebraElement(k, terms), {mu: d for mu, d in expansion.items() if d})
-    certify(k, lam, result[0].coefficient)
+    _certify(k, lam, grassmannians, result[0].coefficient)
     with _memo_lock:
         return _memo.setdefault(key, result)
 

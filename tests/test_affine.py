@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from kschur.affine import AffinePermutation, reflect_word, rotate_word
+from kschur.affine import AffinePermutation, _step, reflect_word, rotate_word
 
 
 def random_element(rng, k, max_len=12):
@@ -126,6 +126,31 @@ def test_reduced_word_matches_reference_peel():
         k = rng.randint(1, 5)
         w = random_element(rng, k, max_len=20)
         assert w.reduced_word() == reference_reduced_word(w), w.window
+
+
+def step_and_undo_reduced_word(w):
+    """Peel the smallest right descent found by trying each s_i on the
+    window and taking it back when the length went up."""
+    win = list(w.window)
+    letters = []
+    while True:
+        for i in range(len(win)):
+            if not _step(win, i):
+                letters.append(i)
+                break
+            _step(win, i)
+        else:
+            return tuple(reversed(letters))
+
+
+def test_reduced_word_matches_step_and_undo_oracle():
+    rng = random.Random(17)
+    for _ in range(600):
+        k = rng.randint(1, 6)
+        w = random_element(rng, k, max_len=30)
+        word = w.reduced_word()
+        assert word == step_and_undo_reduced_word(w), w.window
+        assert AffinePermutation.from_word(k, word) == w
 
 
 def test_reduced_word_known_cases():

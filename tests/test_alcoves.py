@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -274,3 +279,86 @@ def test_dominant_gamma_vector_is_unique():
         for c in range(1, k + 1):
             dominant = [g for g in gamma_vectors(k, c) if is_dominant(g)]
             assert dominant == [fundamental_weight(k, c)]
+
+
+# The greedy walk as it ran on exact Fraction points, with its own
+# reflection: the reference the integer walk must reproduce, letter for
+# letter, and its on-wall refusal.
+def fraction_alcove_of(point):
+    p = [Fraction(x) for x in point]
+    n = len(p)
+    letters = []
+    while True:
+        if p[0] - p[n - 1] > 1:
+            p[0], p[n - 1] = p[n - 1] + 1, p[0] - 1
+            letters.append(0)
+            continue
+        for i in range(1, n):
+            if p[i - 1] < p[i]:
+                p[i - 1], p[i] = p[i], p[i - 1]
+                letters.append(i)
+                break
+        else:
+            break
+    if any(p[i - 1] == p[i] for i in range(1, n)) or p[0] - p[n - 1] == 1:
+        raise ValueError("point on wall")
+    return AffinePermutation.from_word(n - 1, reversed(letters))
+
+
+def test_pseudo_translation_matches_fraction_oracle():
+    for k in range(1, 8):
+        for gamma in product((0, 1), repeat=k + 1):
+            target = add_points(fundamental_centroid(k), gamma)
+            assert pseudo_translation(gamma) == fraction_alcove_of(target), gamma
+
+
+def test_alcove_of_matches_fraction_oracle():
+    rng = random.Random(13)
+    walls = 0
+    for _ in range(600):
+        k = rng.randint(1, 6)
+        p = tuple(
+            Fraction(rng.randrange(-30, 31), rng.choice((1, 2, 3, 4, 6, 7, 9)))
+            for _ in range(k + 1)
+        )
+        try:
+            expected = fraction_alcove_of(p)
+        except ValueError as exc:
+            walls += 1
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                alcove_of(p)
+        else:
+            assert alcove_of(p) == expected, p
+    assert 0 < walls < 600  # the draw hits walls and open alcoves both
+
+
+# the walk replaced by one that lands one letter off its answer, on
+# each side in turn: the centroid certificate must refuse every one
+NEIGHBOURING_WALKS = """
+from kschur import alcoves
+from kschur.reports import IdentityError
+
+walk = alcoves._walk
+for i in range(5):
+    alcoves._walk = lambda p, d: walk(p, d).right_mult(i)
+    try:
+        print(alcoves.pseudo_translation((1, 1, 0, 0, 0)))
+    except IdentityError as exc:
+        print("IdentityError:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_pseudo_translation_rejects_a_neighbouring_walk(flags):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", NEIGHBOURING_WALKS],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 5 and all(
+        line.startswith("IdentityError: alcove of") for line in lines
+    ), done.stdout

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from kschur import cli
 from kschur.affine import AffinePermutation
 from kschur.cache import ExpansionCache
 from kschur.cli import (
+    CHAIN_CEILING,
     CORE_SIZE_CEILING,
     RECT_K_CEILING,
     SIZE_CEILING,
@@ -107,6 +109,25 @@ def test_rect_command_all(capsys):
     assert docs["x"] == docs["y"] == docs["z"] == docs["w"]
 
 
+def test_rect_command_all_prints_a_differing_formula_on_its_own(capsys, monkeypatch):
+    # equal formulas share x's document; one that differs gets its own
+    rect = Rectangle.with_rows(4, 3)
+    by_translations = cli._FORMULAS["y"]
+    short = AlgebraElement(4, by_translations(rect).items()[1:])
+    monkeypatch.setitem(cli._FORMULAS, "y", lambda r: short)
+    code, out, _ = run_cli(
+        capsys, "rect", "--k", "4", "--rows", "3", "--formula", "all", "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["equal"] is False
+    docs = payload["formulas"]
+    assert docs["y"] == ExpansionDocument.from_element(rect, short).to_dict()
+    assert len(docs["y"]["terms"]) == 9
+    assert docs["x"] == docs["z"] == docs["w"]
+    assert docs["x"]["terms"][1:] == docs["y"]["terms"]
+
+
 def test_rect_command_single_formula(capsys):
     code, out, _ = run_cli(
         capsys, "rect", "--k", "7", "--rows", "3", "--formula", "y", "--format", "json"
@@ -173,8 +194,12 @@ ONES_1200 = ",".join(["1"] * 1200)
         (["core", "--k", "3", "to-bounded", "30000000"], "core size"),
         (["core", "--k", "3", "act", "u0", "30000000"], "core size"),
         (["core", "--k", "1", "to-core", ONES_1200], "partition size"),
+        (["core", "--k", "1", "act", "u1u0" * 2000, ""], "generator chain"),
     ],
-    ids=["kschur size", "kschur k", "lr k", "lr size", "rect k", "to-bounded", "act", "to-core"],
+    ids=[
+        "kschur size", "kschur k", "lr k", "lr size", "rect k", "to-bounded", "act",
+        "to-core", "act chain",
+    ],
 )
 def test_input_ceilings(capsys, argv, message):
     # past the measured reach a request would recurse too deep or run for
@@ -195,6 +220,10 @@ def test_input_ceilings_admit_their_edge(capsys):
     assert code == 0 and sum(parse_partition(core)) == CORE_SIZE_CEILING
     code, out, _ = run_cli(capsys, "core", "--k", "1", "to-bounded", core.strip())
     assert (code, out.strip()) == (0, ones)
+    # the longest admitted chain grows that core by one cell per row and letter
+    chain = "u1u0" * (CHAIN_CEILING // 2)
+    code, grown, _ = run_cli(capsys, "core", "--k", "1", "act", chain, core.strip())
+    assert code == 0 and len(parse_partition(grown)) == SIZE_CEILING + CHAIN_CEILING
     code, _, _ = run_cli(capsys, "rect", "--k", str(RECT_K_CEILING), "--rows", "1", "--formula", "z")
     assert code == 0
 
