@@ -231,17 +231,12 @@ def cmd_core(args: argparse.Namespace) -> int:
         for _, i in chain:
             if not 0 <= i <= k:
                 raise UsageError(f"generator index {i} out of range 0..{k}")
-        current: Optional[tuple[int, ...]] = parse_core(args.args[1], k)
-        for kind, i in reversed(chain):
-            if current is None:
-                break
-            current = (cores.u_action if kind == "u" else cores.s_action)(current, i, k)
-        emit(current)
+        emit(cores.apply_letters(parse_core(args.args[1], k), chain, k))
     elif args.action == "to-core":
         emit(cores.bounded_to_core(parse_bounded(args.args[0], k), k))
     elif args.action == "to-bounded":
         emit(cores.core_to_bounded(parse_core(args.args[0], k), k))
-    elif args.action == "word":
+    else:  # word; argparse admits no other action
         lam = parse_bounded(args.args[0], k)
         w = cores.w_of_partition(lam, k)
         word = w.reduced_word()
@@ -257,8 +252,6 @@ def cmd_core(args: argparse.Namespace) -> int:
             )
         else:
             print(" ".join(map(str, word)))
-    else:
-        raise UsageError(f"unknown core action {args.action!r}")
     return 0
 
 

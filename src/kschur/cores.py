@@ -170,11 +170,21 @@ def u_action(parts: Partition, i: int, k: int) -> Optional[Partition]:
     return result if result > parts else None
 
 
+def apply_letters(
+    parts: Partition, letters: Sequence[tuple[str, int]], k: int
+) -> Optional[Partition]:
+    """Act on a core by letters ("s", i) for s_i and ("u", i) for u_i,
+    rightmost letter first; None once a u_i finds no addable corner."""
+    for kind, i in reversed(letters):
+        parts = u_action(parts, i, k) if kind == "u" else s_action(parts, i, k)
+        if parts is None:
+            return None
+    return parts
+
+
 def apply_word(parts: Partition, word: Sequence[int], k: int) -> Partition:
     """Act on a core by a word of s_i, rightmost letter first."""
-    for i in reversed(word):
-        parts = s_action(parts, i, k)
-    return parts
+    return apply_letters(parts, [("s", i) for i in word], k)
 
 
 def apply_word_nil(
@@ -182,12 +192,7 @@ def apply_word_nil(
 ) -> Optional[Partition]:
     """Act on a core by a word of u_i, rightmost letter first; None if
     any step has no addable corner."""
-    for i in reversed(word):
-        nxt = u_action(parts, i, k)
-        if nxt is None:
-            return None
-        parts = nxt
-    return parts
+    return apply_letters(parts, [("u", i) for i in word], k)
 
 
 def skew_reading_word(outer: Partition, inner: Partition, k: int) -> tuple[int, ...]:

@@ -16,6 +16,7 @@ and the core action stays the independent oracle of the Pieri sweep.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from itertools import combinations
@@ -135,15 +136,8 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_rank(other)
-        # fold a reduced word of each right key through every left key
-        acc: dict[AffinePermutation, int] = {}
-        right = [(cb, wb.reduced_word()) for wb, cb in other._terms.items()]
-        for wa, ca in self._terms.items():
-            for cb, word in right:
-                cur = wa.times_reduced(word)
-                if cur is not None:
-                    acc[cur] = acc.get(cur, 0) + ca * cb
-        return AlgebraElement(self.k, acc)
+        right = [(w.reduced_word(), c) for w, c in other._terms.items()]
+        return AlgebraElement(self.k, _fold(self._terms, right))
 
     def times_generator(self, i: int, side: str = "right") -> "AlgebraElement":
         """Product with a single generator u_i on the given side."""
@@ -169,6 +163,19 @@ class AlgebraElement:
             word = " ".join(f"u{i}" for i in w.reduced_word()) or "1"
             bits.append(f"{c:+d}·{word}")
         return " ".join(bits)
+
+
+def _fold(terms: Mapping[AffinePermutation, int], right: Sequence[tuple]) -> dict:
+    """The sum of c*d u(w) u(word) over the terms w: c and the pairs
+    (word, d), word reduced: each word folds on the right of each w through
+    `times_reduced`, which drops a product whose length does not add up."""
+    acc: dict[AffinePermutation, int] = {}
+    for w, c in terms.items():
+        for word, d in right:
+            v = w.times_reduced(word)
+            if v is not None:
+                acc[v] = acc.get(v, 0) + c * d
+    return acc
 
 
 def cyclically_decreasing_word(k: int, indices: Iterable[int]) -> tuple[int, ...]:
@@ -264,6 +271,7 @@ _memo_lock = threading.Lock()
 def clear_memo() -> None:
     with _memo_lock:
         _memo.clear()
+        _grassmannians.cache_clear()
 
 
 def kschur(k: int, lam: Sequence[int]) -> AlgebraElement:
@@ -283,25 +291,21 @@ def certify(k: int, lam: Partition, coefficient: Callable[[AffinePermutation], i
     """Raise IdentityError unless coefficient(w_nu) is 1 for nu = lam and 0
     for every other k-bounded nu with |nu| = |lam|; in the degree-|lam| part
     of the h-subring this holds exactly for the k-Schur function of lam."""
-    _certify(k, lam, _grassmannians(k, sum(lam)), coefficient)
-
-
-def _grassmannians(k: int, n: int) -> list[tuple[Partition, AffinePermutation]]:
-    """(nu, w_nu) for every k-bounded nu with |nu| = n."""
-    return [(nu, w_of_partition(nu, k)) for nu in k_bounded_partitions(n, k)]
-
-
-def _certify(k: int, lam: Partition, grassmannians: list, coefficient: Callable) -> None:
-    """`certify`, on the Grassmannian elements of degree |lam| built already."""
-    if excess := _excess(lam, grassmannians, coefficient):
+    if excess := _excess(k, lam, coefficient):
         raise IdentityError(f"{lam} at k={k}: coefficient minus delta on w_nu is {excess}")
 
 
-def _excess(lam: Partition, grassmannians: list, coefficient: Callable) -> dict:
+@functools.cache
+def _grassmannians(k: int, n: int) -> tuple[tuple[Partition, AffinePermutation], ...]:
+    """(nu, w_nu) for every k-bounded nu with |nu| = n, built once until `clear_memo`."""
+    return tuple((nu, w_of_partition(nu, k)) for nu in k_bounded_partitions(n, k))
+
+
+def _excess(k: int, lam: Partition, coefficient: Callable[[AffinePermutation], int]) -> dict:
     """The nonzero coefficient(w_nu) - delta_{lam nu} over the (nu, w_nu) of
     degree |lam|: in the h-subring, the multiplicity of s_nu less that of
     s_lam, since s_rho has coefficient delta_{rho nu} on w_nu."""
-    excess = {nu: coefficient(w) - (nu == lam) for nu, w in grassmannians}
+    excess = {nu: coefficient(w) - (nu == lam) for nu, w in _grassmannians(k, sum(lam))}
     return {nu: c for nu, c in excess.items() if c}
 
 
@@ -315,21 +319,15 @@ def _solve(k: int, lam: Partition) -> tuple[AlgebraElement, dict[Partition, int]
     got = _memo.get(key)
     if got is not None:
         return got
-    grassmannians = _grassmannians(k, sum(lam))  # read by the step and the certificate
     if not lam:
         terms, expansion = {AffinePermutation.identity(k): 1}, {(): 1}
     else:
         i, rest = lam[0], lam[1:]
         element, rest_expansion = _solve(k, rest)
-        words = [cyclically_decreasing_word(k, s) for s in combinations(range(k + 1), i)]
-        terms = {}
-        for w, c in element._terms.items():
-            for word in words:
-                v = w.times_reduced(word)
-                if v is not None:
-                    terms[v] = terms.get(v, 0) + c
+        h_i = [(cyclically_decreasing_word(k, s), 1) for s in combinations(range(k + 1), i)]
+        terms = _fold(element._terms, h_i)
         expansion = {union_partitions(mu, (i,)): c for mu, c in rest_expansion.items()}
-        excess = _excess(lam, grassmannians, lambda w: terms.get(w, 0))
+        excess = _excess(k, lam, lambda w: terms.get(w, 0))
         if any(nu[0] <= i for nu in excess):
             raise IdentityError(f"h_{i} s_{rest} at k={k}: excess {excess}, not only nu_1 > {i}")
         for nu, c in excess.items():
@@ -339,7 +337,7 @@ def _solve(k: int, lam: Partition) -> tuple[AlgebraElement, dict[Partition, int]
             for mu, d in nu_expansion.items():
                 expansion[mu] = expansion.get(mu, 0) - c * d
     result = (AlgebraElement(k, terms), {mu: d for mu, d in expansion.items() if d})
-    _certify(k, lam, grassmannians, result[0].coefficient)
+    certify(k, lam, result[0].coefficient)
     with _memo_lock:
         return _memo.setdefault(key, result)
 

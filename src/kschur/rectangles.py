@@ -27,7 +27,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .affine import AffinePermutation
+from .affine import AffinePermutation, rotate_word
 from .alcoves import (
     act_linear,
     fundamental_weight,
@@ -116,12 +116,13 @@ def by_columns(rect: Rectangle) -> AlgebraElement:
     """Sum over c-subsets A of generator indices of the product of the
     cyclically decreasing elements of A, A+1, ..., A+rows-1."""
     k, c, r = rect.k, rect.cols, rect.rows
-    n = k + 1
     terms = {}
-    for subset in combinations(range(n), c):
+    for subset in combinations(range(k + 1), c):
+        # rotating by d, an automorphism, takes A's word to a word of A+d
+        base = cyclically_decreasing_word(k, subset)
         word: list[int] = []
         for d in range(r):
-            word.extend(cyclically_decreasing_word(k, [(a + d) % n for a in subset]))
+            word.extend(rotate_word(base, d, k))
         w = AffinePermutation.identity(k).times_reduced(word)
         if w is None or w in terms:
             raise IdentityError(f"{rect}: column word {word} of {subset} is not a new reduced word")

@@ -244,6 +244,15 @@ def test_core_command_act_chain(capsys):
     assert out.strip() == "4,2,2,1,1"
 
 
+def test_core_command_act_chain_dies_at_a_u_letter(capsys):
+    # s_0 gives (1), u_0 finds no addable corner of residue 0 and kills
+    # it; the s letters after it act on zero
+    code, out, _ = run_cli(capsys, "core", "--k", "2", "act", "s1s2u0s0", "")
+    assert (code, out) == (0, "0\n")
+    code, out, _ = run_cli(capsys, "core", "--k", "2", "act", "s1s2u1s0", "")
+    assert (code, out.strip()) == (0, "3,1,1")
+
+
 def test_core_command_bijections(capsys):
     code, out, _ = run_cli(capsys, "core", "--k", "2", "to-core", "2,1,1,1,1")
     assert code == 0

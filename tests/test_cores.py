@@ -6,6 +6,7 @@ import pytest
 from kschur.affine import AffinePermutation
 from kschur.cores import (
     addable_corners,
+    apply_letters,
     apply_word,
     apply_word_nil,
     as_partition,
@@ -197,6 +198,24 @@ def test_reading_word_never_dies_under_nil_action():
         for n in range(8):
             for lam in k_bounded_partitions(n, k):
                 assert apply_word_nil((), reading_word(lam, k), k) is not None
+
+
+def test_apply_letters_matches_a_letter_by_letter_oracle():
+    # u_i is s_i where s_i adds cells and zero where it removes or fixes
+    rng = random.Random(9)
+    for _ in range(300):
+        k = rng.randint(1, 5)
+        lam = rng.choice(k_bounded_partitions(rng.randrange(9), k))
+        core = bounded_to_core(lam, k)
+        letters = [(rng.choice("us"), rng.randrange(k + 1)) for _ in range(rng.randint(1, 12))]
+        expected = core
+        for kind, i in reversed(letters):
+            moved = s_action(expected, i, k)
+            if kind == "u" and sum(moved) <= sum(expected):
+                expected = None
+                break
+            expected = moved
+        assert apply_letters(core, letters, k) == expected, (k, core, letters)
 
 
 def test_core_never_has_addable_and_removable_of_same_residue():

@@ -6,7 +6,9 @@ import pytest
 
 from kschur import cores, nilcoxeter
 from kschur.affine import AffinePermutation
+from kschur.cache import ExpansionCache
 from kschur.cores import bounded_to_core, k_bounded_partitions, w_of_partition
+from kschur.documents import ExpansionDocument
 from kschur.nilcoxeter import (
     AlgebraElement,
     act_on_core,
@@ -334,17 +336,40 @@ def test_kschur_h_expansion_reassembles():
 def test_kschur_and_h_expansion_share_one_solve(monkeypatch):
     # every solved (k, lam) passes the certificate once, whichever view asked
     certified = Counter()
-    real_certify = nilcoxeter._certify
+    real_certify = nilcoxeter.certify
 
-    def counting(k, lam, grassmannians, coefficient):
+    def counting(k, lam, coefficient):
         certified[(k, lam)] += 1
-        return real_certify(k, lam, grassmannians, coefficient)
+        return real_certify(k, lam, coefficient)
 
-    monkeypatch.setattr(nilcoxeter, "_certify", counting)
+    monkeypatch.setattr(nilcoxeter, "certify", counting)
     nilcoxeter.clear_memo()
     kschur(4, (2, 2, 2))
     kschur_h_expansion(4, (2, 2, 2))
     assert (4, (2, 2, 2)) in certified and set(certified.values()) == {1}, certified
+
+
+def test_grassmannians_are_built_once_for_the_solve_and_the_cache(monkeypatch, tmp_path):
+    # the step, the certificate of every result and the certificate of a
+    # cache hit read one table of (nu, w_nu) per degree
+    built = Counter()
+    real = nilcoxeter.w_of_partition
+
+    def counting(parts, k):
+        built[(k, tuple(parts))] += 1
+        return real(parts, k)
+
+    monkeypatch.setattr(nilcoxeter, "w_of_partition", counting)
+    nilcoxeter.clear_memo()
+    lam = (3, 3, 2, 2)
+    cache = ExpansionCache(tmp_path)
+    cache.put(ExpansionDocument.from_element(lam, kschur(5, lam)))
+    assert cache.get(5, lam) is not None
+    assert (5, lam) in built and set(built.values()) == {1}, built
+    nilcoxeter.clear_memo()
+    cache.get(5, lam)
+    assert built[(5, lam)] == 2  # clear_memo clears the table too
+    nilcoxeter.clear_memo()
 
 
 def _twice_s1():
