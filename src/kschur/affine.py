@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffinePermutation:
     """Element of the affine symmetric group generated by s_0, ..., s_k.
 

@@ -17,8 +17,6 @@ and the core action stays the independent oracle of the Pieri sweep.
 from __future__ import annotations
 
 import functools
-import threading
-import time
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -35,7 +33,7 @@ from .cores import (
     union_partitions,
     w_of_partition,
 )
-from .reports import Check, IdentityError, Report
+from .reports import IdentityError, Report, timed
 
 
 def basis_times_generator(
@@ -114,10 +112,7 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_rank(other)
-        acc = dict(self._terms)
-        for w, c in other._terms.items():
-            acc[w] = acc.get(w, 0) + c
-        return AlgebraElement(self.k, acc)
+        return AlgebraElement(self.k, [*self._terms.items(), *other._terms.items()])
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
@@ -141,12 +136,8 @@ class AlgebraElement:
 
     def times_generator(self, i: int, side: str = "right") -> "AlgebraElement":
         """Product with a single generator u_i on the given side."""
-        acc: dict[AffinePermutation, int] = {}
-        for w, c in self._terms.items():
-            res = basis_times_generator(w, i, side)
-            if res is not None:
-                acc[res] = acc.get(res, 0) + c
-        return AlgebraElement(self.k, acc)
+        products = [(basis_times_generator(w, i, side), c) for w, c in self._terms.items()]
+        return AlgebraElement(self.k, [(v, c) for v, c in products if v is not None])
 
     def _check_rank(self, other: "AlgebraElement") -> None:
         if self.k != other.k:
@@ -264,14 +255,9 @@ def act_on_core(
     return {kappa: c for kappa, c in out.items() if c}
 
 
-_memo: dict[tuple[int, Partition], tuple[AlgebraElement, dict[Partition, int]]] = {}
-_memo_lock = threading.Lock()
-
-
 def clear_memo() -> None:
-    with _memo_lock:
-        _memo.clear()
-        _grassmannians.cache_clear()
+    _solve.cache_clear()
+    _grassmannians.cache_clear()
 
 
 def kschur(k: int, lam: Sequence[int]) -> AlgebraElement:
@@ -309,16 +295,13 @@ def _excess(k: int, lam: Partition, coefficient: Callable[[AffinePermutation], i
     return {nu: c for nu, c in excess.items() if c}
 
 
+@functools.cache
 def _solve(k: int, lam: Partition) -> tuple[AlgebraElement, dict[Partition, int]]:
     """The k-Schur function of lam and its h-expansion, by one k-Pieri step:
     with lam = (i,) + rest, h_i s_rest is s_lam plus c s_nu for each excess
     c on w_nu (see `_excess`), each such nu with nu_1 > i (checked, so the
     recursion ends, as nu_1 <= k).  The h's commute, so the words of h_i
     fold on the right of each term of s_rest."""
-    key = (k, lam)
-    got = _memo.get(key)
-    if got is not None:
-        return got
     if not lam:
         terms, expansion = {AffinePermutation.identity(k): 1}, {(): 1}
     else:
@@ -338,8 +321,7 @@ def _solve(k: int, lam: Partition) -> tuple[AlgebraElement, dict[Partition, int]
                 expansion[mu] = expansion.get(mu, 0) - c * d
     result = (AlgebraElement(k, terms), {mu: d for mu, d in expansion.items() if d})
     certify(k, lam, result[0].coefficient)
-    with _memo_lock:
-        return _memo.setdefault(key, result)
+    return result
 
 
 def negative_terms(elem: AlgebraElement) -> dict[AffinePermutation, int]:
@@ -383,29 +365,22 @@ def pieri_partitions(k: int, lam: Sequence[int], i: int) -> list[Partition]:
 def verify_pieri(k: int, max_size: int) -> Report:
     """Check h_i * kschur(lam) = sum of kschur(mu) over the predicted mu,
     for every k-bounded lam up to the given size and every i."""
-    checks = []
-    for n in range(max_size + 1):
-        for lam in k_bounded_partitions(n, k):
-            start = time.perf_counter()
-            ok = True
-            detail: dict = {"k": k, "partition": list(lam)}
-            for i in range(1, k + 1):
-                lhs = h(k, i) * kschur(k, lam)
-                summands = [kschur(k, mu) for mu in pieri_partitions(k, lam, i)]
-                rhs = sum(summands, AlgebraElement.zero(k))
-                if lhs != rhs:
-                    ok = False
-                    detail["failed_at"] = i
-                    break
-            checks.append(
-                Check(
-                    name=f"pieri k={k} lam={','.join(map(str, lam)) or '()'}",
-                    passed=ok,
-                    seconds=time.perf_counter() - start,
-                    details=detail,
-                )
-            )
-    return Report(tuple(checks))
+
+    def strips(lam: Partition) -> tuple[bool, dict]:
+        detail: dict = {"k": k, "partition": list(lam)}
+        for i in range(1, k + 1):
+            lhs = h(k, i) * kschur(k, lam)
+            summands = [kschur(k, mu) for mu in pieri_partitions(k, lam, i)]
+            if lhs != sum(summands, AlgebraElement.zero(k)):
+                detail["failed_at"] = i
+                return False, detail
+        return True, detail
+
+    return Report(tuple(
+        timed(f"pieri k={k} lam={','.join(map(str, lam)) or '()'}", lambda lam=lam: strips(lam))
+        for n in range(max_size + 1)
+        for lam in k_bounded_partitions(n, k)
+    ))
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ that conjugates a generator index by c across the rectangle element.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -53,7 +52,7 @@ from .nilcoxeter import (
     kschur,
     negative_terms,
 )
-from .reports import Check, IdentityError, Report
+from .reports import IdentityError, Report, timed
 
 
 @dataclass(frozen=True)
@@ -228,79 +227,59 @@ def all_rectangles(k: int) -> list[Rectangle]:
 def verify_equivalences(kmax: int) -> Report:
     """All four constructions agree, with the expected term count, for
     every rectangle with k up to kmax."""
-    checks = []
-    for k in range(1, kmax + 1):
-        for rect in all_rectangles(k):
-            start = time.perf_counter()
-            x = by_readings(rect)
-            y = by_translations(rect)
-            z = by_columns(rect)
-            w = by_windows(rect)
-            expected = comb(k + 1, rect.cols)
-            ok = x == y == z == w and len(x) == expected
-            checks.append(
-                Check(
-                    name=f"equivalence k={k} cols={rect.cols} rows={rect.rows}",
-                    passed=ok,
-                    seconds=time.perf_counter() - start,
-                    details={
-                        "k": k,
-                        "cols": rect.cols,
-                        "rows": rect.rows,
-                        "terms": len(x),
-                        "expected_terms": expected,
-                        "readings_eq_translations": x == y,
-                        "readings_eq_columns": x == z,
-                        "translations_eq_windows": y == w,
-                    },
-                )
-            )
-    return Report(tuple(checks))
+
+    def agree(rect: Rectangle) -> tuple[bool, dict]:
+        x, y, z, w = by_readings(rect), by_translations(rect), by_columns(rect), by_windows(rect)
+        expected = comb(rect.k + 1, rect.cols)
+        details = {
+            "k": rect.k,
+            "cols": rect.cols,
+            "rows": rect.rows,
+            "terms": len(x),
+            "expected_terms": expected,
+            "readings_eq_translations": x == y,
+            "readings_eq_columns": x == z,
+            "translations_eq_windows": y == w,
+        }
+        return x == y == z == w and len(x) == expected, details
+
+    return Report(tuple(
+        timed(f"equivalence k={k} cols={rect.cols} rows={rect.rows}", lambda rect=rect: agree(rect))
+        for k in range(1, kmax + 1)
+        for rect in all_rectangles(k)
+    ))
 
 
 def verify_main(rect: Rectangle, action_size: int = 4) -> Report:
     """The closed formula equals the k-Schur function of the rectangle,
     and acting on cores multiplies partitions by the rectangle."""
     k = rect.k
-    checks = []
+    shape = f"k={k} cols={rect.cols} rows={rect.rows}"
 
-    start = time.perf_counter()
-    formula = by_readings(rect)
-    schur = kschur(k, rect.partition())
-    checks.append(
-        Check(
-            name=f"main k={k} cols={rect.cols} rows={rect.rows}",
-            passed=formula == schur,
-            seconds=time.perf_counter() - start,
-            details={
-                "k": k,
-                "cols": rect.cols,
-                "rows": rect.rows,
-                "terms": len(formula),
-                "negative_coefficients": len(negative_terms(schur)),
-            },
-        )
-    )
+    def main() -> tuple[bool, dict]:
+        formula = by_readings(rect)
+        schur = kschur(k, rect.partition())
+        return formula == schur, {
+            "k": k,
+            "cols": rect.cols,
+            "rows": rect.rows,
+            "terms": len(formula),
+            "negative_coefficients": len(negative_terms(schur)),
+        }
 
-    start = time.perf_counter()
-    failures = []
-    count = 0
-    for n in range(action_size + 1):
-        for lam in k_bounded_partitions(n, k):
-            count += 1
-            try:
-                act_on_partition(rect, lam)
-            except IdentityError:
-                failures.append(list(lam))
-    checks.append(
-        Check(
-            name=f"single-term action k={k} cols={rect.cols} rows={rect.rows}",
-            passed=not failures,
-            seconds=time.perf_counter() - start,
-            details={"partitions_checked": count, "failures": failures},
-        )
-    )
-    return Report(tuple(checks))
+    def action() -> tuple[bool, dict]:
+        failures = []
+        count = 0
+        for n in range(action_size + 1):
+            for lam in k_bounded_partitions(n, k):
+                count += 1
+                try:
+                    act_on_partition(rect, lam)
+                except IdentityError:
+                    failures.append(list(lam))
+        return not failures, {"partitions_checked": count, "failures": failures}
+
+    return Report((timed(f"main {shape}", main), timed(f"single-term action {shape}", action)))
 
 
 def verify_commutation(rect: Rectangle) -> Report:
@@ -308,17 +287,14 @@ def verify_commutation(rect: Rectangle) -> Report:
     u_{i + cols} on the rectangle element, for every generator index."""
     k, c = rect.k, rect.cols
     element = by_readings(rect)
-    checks = []
-    for i in range(k + 1):
-        start = time.perf_counter()
+
+    def commutes(i: int) -> tuple[bool, dict]:
+        shifted = (i + c) % (k + 1)
         lhs = element.times_generator(i, side="right")
-        rhs = element.times_generator((i + c) % (k + 1), side="left")
-        checks.append(
-            Check(
-                name=f"commutation k={k} cols={c} rows={rect.rows} i={i}",
-                passed=lhs == rhs,
-                seconds=time.perf_counter() - start,
-                details={"i": i, "shifted": (i + c) % (k + 1), "terms": len(lhs)},
-            )
-        )
-    return Report(tuple(checks))
+        rhs = element.times_generator(shifted, side="left")
+        return lhs == rhs, {"i": i, "shifted": shifted, "terms": len(lhs)}
+
+    return Report(tuple(
+        timed(f"commutation k={k} cols={c} rows={rect.rows} i={i}", lambda i=i: commutes(i))
+        for i in range(k + 1)
+    ))

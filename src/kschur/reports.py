@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 
 class IdentityError(Exception):
@@ -47,3 +49,11 @@ class Report:
             "passed": self.passed,
             "checks": [c.to_dict() for c in self.checks],
         }
+
+
+def timed(name: str, run: Callable[[], tuple[bool, dict]]) -> Check:
+    """The check `name` whose `passed` and `details` are what `run()`
+    returns, with the time `run()` took; an exception from `run` propagates."""
+    start = time.perf_counter()
+    passed, details = run()
+    return Check(name, passed, time.perf_counter() - start, details)

@@ -160,6 +160,56 @@ def test_verify_command(capsys):
     )
 
 
+def _descending_partitions(n, largest):
+    """Partitions of n with parts <= largest, in reverse lexicographic order."""
+    if n == 0:
+        return [()]
+    return [
+        (first,) + rest
+        for first in range(min(n, largest), 0, -1)
+        for rest in _descending_partitions(n - first, first)
+    ]
+
+
+def test_verify_report_names_order_and_details(capsys):
+    # the sweep order of `verify --suite all`, rebuilt without the library:
+    # equivalence, then main and action per rectangle, then commutation per
+    # generator index, then Pieri per k-bounded partition of size <= 3
+    kmax = 3
+    shapes = [(k, k + 1 - rows, rows) for k in range(1, kmax + 1) for rows in range(1, k + 1)]
+    expected = [f"equivalence k={k} cols={c} rows={r}" for k, c, r in shapes]
+    for k, c, r in shapes:
+        expected += [f"main k={k} cols={c} rows={r}", f"single-term action k={k} cols={c} rows={r}"]
+    expected += [f"commutation k={k} cols={c} rows={r} i={i}" for k, c, r in shapes for i in range(k + 1)]
+    expected += [
+        f"pieri k={k} lam={','.join(map(str, lam)) or '()'}"
+        for k in range(1, kmax + 1)
+        for n in range(4)
+        for lam in _descending_partitions(n, k)
+    ]
+    code, out, _ = run_cli(capsys, "verify", "--kmax", str(kmax), "--suite", "all")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == expected
+    assert all(c["passed"] is True for c in checks)
+    assert all(isinstance(c["seconds"], float) and c["seconds"] >= 0 for c in checks)
+    details = {c["name"]: c["details"] for c in checks}
+    assert details["equivalence k=3 cols=2 rows=2"] == {
+        "k": 3, "cols": 2, "rows": 2, "terms": 6, "expected_terms": 6,
+        "readings_eq_translations": True, "readings_eq_columns": True,
+        "translations_eq_windows": True,
+    }
+    assert details["main k=3 cols=1 rows=3"] == {
+        "k": 3, "cols": 1, "rows": 3, "terms": 4, "negative_coefficients": 0,
+    }
+    assert details["single-term action k=2 cols=2 rows=1"] == {
+        "partitions_checked": 9, "failures": [],
+    }
+    assert details["commutation k=3 cols=2 rows=2 i=1"] == {"i": 1, "shifted": 3, "terms": 4}
+    assert details["pieri k=3 lam=2,1"] == {"k": 3, "partition": [2, 1]}
+    assert details["pieri k=1 lam=()"] == {"k": 1, "partition": []}
+
+
 def test_verify_command_equiv_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--kmax", "4", "--suite", "equiv")
     assert code == 0

@@ -393,25 +393,25 @@ def _s2_plus_s11():
     ids=["lam missing", "lam twice", "nu_1 <= lam_1"],
 )
 def test_pieri_step_rejects_bad_strip(monkeypatch, lam, rest, fake):
-    # a wrong s_rest in the memo gives the step a coefficient other than 1
-    # on w_lam, or an excess on some nu with nu_1 <= lam_1; the step must
+    # a wrong s_rest from the solve gives the step a coefficient other than
+    # 1 on w_lam, or an excess on some nu with nu_1 <= lam_1; the step must
     # raise before it solves any nu, else a wrong result or a recursion
     # that never ends could follow
     nilcoxeter.clear_memo()
     entry = fake()
     nilcoxeter.clear_memo()
-    monkeypatch.setitem(nilcoxeter._memo, (3, rest), entry)
     solved = []
     real = nilcoxeter._solve
 
     def recording(k, nu):
         solved.append(nu)
-        return real(k, nu)
+        return entry if (k, nu) == (3, rest) else real(k, nu)
 
     monkeypatch.setattr(nilcoxeter, "_solve", recording)
     with pytest.raises(IdentityError):
         kschur(3, lam)
     assert solved == [lam, rest]
+    monkeypatch.undo()  # a patched _solve has no cache_clear
     nilcoxeter.clear_memo()
 
 
