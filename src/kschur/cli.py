@@ -35,12 +35,12 @@ from .reports import Report
 # code is refused at once instead of recursing too deep or running for
 # hours.  Measured on a 2-vCPU VM with Python 3.11.
 #
-# verify --kmax, and the k of kschur and lr: kmax 8 takes minutes (about
-# 160 s and 1.3 GB), 9 would take hours
+# verify --kmax, and the k of kschur and lr: verify --kmax 8 --suite all
+# takes 144 s and 1,063 MB peak RSS, 9 would take hours
 KMAX_CEILING = 8
 # the size of every k-bounded partition argument: it admits the 4x4
-# rectangle at k = 7, and at k = 8 the slowest size-16 partitions tried
-# take up to 107 s and 1 GB, within what verify --kmax 8 takes
+# rectangle at k = 7, and at k = 8 the slowest size-16 partition tried,
+# (3,3,3,2,2,1,1,1), takes 94 s and 805 MB, within what verify --kmax 8 takes
 SIZE_CEILING = 16
 # a core argument may be as large as the largest core of an admitted
 # partition, the 2-core of (1^SIZE_CEILING)
@@ -53,6 +53,9 @@ CHAIN_CEILING = 128
 # 0.37 s at k = 11 and 0.63 s at k = 12, and grows about 1.7 times per k;
 # the ceiling stays at 12, so that exit codes stay as they were
 RECT_K_CEILING = 12
+# core word --k: w_lambda's window has k + 1 entries; the slowest admitted
+# partition tried takes 0.28 s and 28 MB at k = 10^5, 1.2 s and 131 MB at 10^6
+WORD_K_CEILING = 100_000
 
 
 class UsageError(Exception):
@@ -91,9 +94,9 @@ def parse_core(text: str, k: int) -> tuple[int, ...]:
     return parts
 
 
-def check_solve_rank(k: int) -> None:
-    if k > KMAX_CEILING:
-        raise UsageError(f"k must be at most {KMAX_CEILING}, got {k}")
+def check_k(k: int, ceiling: int) -> None:
+    if k > ceiling:
+        raise UsageError(f"k must be at most {ceiling}, got {k}")
 
 
 def format_partition(parts: Sequence[int]) -> str:
@@ -118,7 +121,7 @@ def kschur_document(
 
 
 def cmd_kschur(args: argparse.Namespace) -> int:
-    check_solve_rank(args.k)
+    check_k(args.k, KMAX_CEILING)
     lam = parse_bounded(args.partition, args.k)
     cache = None if args.no_cache else ExpansionCache()
     _emit_document(kschur_document(args.k, lam, cache), args.format)
@@ -134,8 +137,7 @@ _FORMULAS = {
 
 
 def cmd_rect(args: argparse.Namespace) -> int:
-    if args.k > RECT_K_CEILING:
-        raise UsageError(f"k must be at most {RECT_K_CEILING}, got {args.k}")
+    check_k(args.k, RECT_K_CEILING)
     if not 1 <= args.rows <= args.k:
         raise UsageError(f"rows must be in 1..{args.k}, got {args.rows}")
     rect = Rectangle.with_rows(args.k, args.rows)
@@ -237,6 +239,7 @@ def cmd_core(args: argparse.Namespace) -> int:
     elif args.action == "to-bounded":
         emit(cores.core_to_bounded(parse_core(args.args[0], k), k))
     else:  # word; argparse admits no other action
+        check_k(k, WORD_K_CEILING)
         lam = parse_bounded(args.args[0], k)
         w = cores.w_of_partition(lam, k)
         word = w.reduced_word()
@@ -259,7 +262,7 @@ _CORE_ARG_COUNT = {"act": 2, "to-core": 1, "to-bounded": 1, "word": 1}
 
 
 def cmd_lr(args: argparse.Namespace) -> int:
-    check_solve_rank(args.k)
+    check_k(args.k, KMAX_CEILING)
     lam, mu, nu = (parse_bounded(text, args.k) for text in (args.lam, args.mu, args.nu))
     print(lr_coefficient(args.k, lam, mu, nu))
     return 0

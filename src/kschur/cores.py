@@ -98,65 +98,30 @@ def is_core(parts: Sequence[int], k: int) -> bool:
     )
 
 
-def addable_corners(parts: Partition) -> list[tuple[int, int]]:
-    """Cells (row, col) whose addition leaves a partition shape."""
-    corners = []
-    for i in range(len(parts)):
-        if i == 0 or parts[i] < parts[i - 1]:
-            corners.append((i + 1, parts[i] + 1))
-    corners.append((len(parts) + 1, 1))
-    return corners
-
-
-def removable_corners(parts: Partition) -> list[tuple[int, int]]:
-    """Cells (row, col) whose removal leaves a partition shape."""
-    corners = []
-    for i in range(len(parts)):
-        below = parts[i + 1] if i + 1 < len(parts) else 0
-        if parts[i] > below:
-            corners.append((i + 1, parts[i]))
-    return corners
-
-
-def _add_cells(parts: Partition, cells: list[tuple[int, int]]) -> Partition:
-    new = list(parts)
-    for row, col in cells:
-        if row == len(new) + 1:
-            new.append(1)
-        else:
-            new[row - 1] += 1
-        if new[row - 1] != col:
-            raise IdentityError(f"cell ({row}, {col}) is not addable to {parts}")
-    return tuple(new)
-
-
-def _remove_cells(parts: Partition, cells: list[tuple[int, int]]) -> Partition:
-    new = list(parts)
-    for row, _ in cells:
-        new[row - 1] -= 1
-    while new and new[-1] == 0:
-        new.pop()
-    return tuple(new)
-
-
 def s_action(parts: Partition, i: int, k: int) -> Partition:
     """Action of s_i on a (k+1)-core.
 
-    Adds every addable corner of residue i if there is one, otherwise
-    removes every removable corner of residue i, otherwise fixes the
-    core.  An involution.
+    Adds every addable cell of residue i if there is one, otherwise
+    removes every removable cell of residue i, otherwise fixes the
+    core.  An involution.  Row r (from 0) of length p has an addable
+    cell of content p - r when r = 0 or the row above is longer, and a
+    removable cell of content p - r - 1 when the row below is shorter.
     """
-    add = [c for c in addable_corners(parts) if content(*c, k) == i]
-    rem = [c for c in removable_corners(parts) if content(*c, k) == i]
+    rows = list(parts) + [0]
+    add = [
+        r for r, p in enumerate(rows) if (r == 0 or rows[r - 1] > p) and (p - r) % (k + 1) == i
+    ]
+    rem = [r for r, p in enumerate(rows[:-1]) if rows[r + 1] < p and (p - r - 1) % (k + 1) == i]
     # a core never has both an addable and a removable corner of one residue
     if add and rem:
         raise IdentityError(f"{parts} has addable and removable corners of residue {i}, k={k}")
-    if add:
-        result = _add_cells(parts, add)
-    elif rem:
-        result = _remove_cells(parts, rem)
-    else:
+    if not (add or rem):
         return parts
+    for r in add:
+        rows[r] += 1
+    for r in rem:
+        rows[r] -= 1
+    result = as_partition(rows)
     if not is_core(result, k):
         raise IdentityError(f"s_{i} on {parts} gives {result}, not a {k + 1}-core")
     return result

@@ -365,11 +365,12 @@ def pieri_partitions(k: int, lam: Sequence[int], i: int) -> list[Partition]:
 def verify_pieri(k: int, max_size: int) -> Report:
     """Check h_i * kschur(lam) = sum of kschur(mu) over the predicted mu,
     for every k-bounded lam up to the given size and every i."""
+    hs = {i: h(k, i) for i in range(1, k + 1)}
 
     def strips(lam: Partition) -> tuple[bool, dict]:
         detail: dict = {"k": k, "partition": list(lam)}
         for i in range(1, k + 1):
-            lhs = h(k, i) * kschur(k, lam)
+            lhs = hs[i] * kschur(k, lam)
             summands = [kschur(k, mu) for mu in pieri_partitions(k, lam, i)]
             if lhs != sum(summands, AlgebraElement.zero(k)):
                 detail["failed_at"] = i

@@ -206,9 +206,13 @@ def act_on_partition(rect: Rectangle, lam: Sequence[int]) -> Partition:
     Exactly one term survives and the result is the core of the sorted
     union of the partition with the rectangle.
     """
+    return _act_on_partition(rect, by_readings(rect), lam)
+
+
+def _act_on_partition(rect: Rectangle, element: AlgebraElement, lam: Sequence[int]) -> Partition:
     k = rect.k
     lam = as_partition(lam)
-    image = act_on_core(by_readings(rect), bounded_to_core(lam, k))
+    image = act_on_core(element, bounded_to_core(lam, k))
     if len(image) != 1:
         raise IdentityError(f"{rect} on {lam}: {len(image)} terms survive, expected 1: {image}")
     (core, coeff), = image.items()
@@ -268,13 +272,14 @@ def verify_main(rect: Rectangle, action_size: int = 4) -> Report:
         }
 
     def action() -> tuple[bool, dict]:
+        element = by_readings(rect)
         failures = []
         count = 0
         for n in range(action_size + 1):
             for lam in k_bounded_partitions(n, k):
                 count += 1
                 try:
-                    act_on_partition(rect, lam)
+                    _act_on_partition(rect, element, lam)
                 except IdentityError:
                     failures.append(list(lam))
         return not failures, {"partitions_checked": count, "failures": failures}

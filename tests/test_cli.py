@@ -17,6 +17,7 @@ from kschur.cli import (
     CORE_SIZE_CEILING,
     RECT_K_CEILING,
     SIZE_CEILING,
+    WORD_K_CEILING,
     main,
     parse_generator_chain,
     parse_partition,
@@ -245,10 +246,11 @@ ONES_1200 = ",".join(["1"] * 1200)
         (["core", "--k", "3", "act", "u0", "30000000"], "core size"),
         (["core", "--k", "1", "to-core", ONES_1200], "partition size"),
         (["core", "--k", "1", "act", "u1u0" * 2000, ""], "generator chain"),
+        (["core", "--k", "1000000000", "word", "1"], "k must be at most 100000, got"),
     ],
     ids=[
         "kschur size", "kschur k", "lr k", "lr size", "rect k", "to-bounded", "act",
-        "to-core", "act chain",
+        "to-core", "act chain", "word k",
     ],
 )
 def test_input_ceilings(capsys, argv, message):
@@ -276,6 +278,9 @@ def test_input_ceilings_admit_their_edge(capsys):
     assert code == 0 and len(parse_partition(grown)) == SIZE_CEILING + CHAIN_CEILING
     code, _, _ = run_cli(capsys, "rect", "--k", str(RECT_K_CEILING), "--rows", "1", "--formula", "z")
     assert code == 0
+    k = str(WORD_K_CEILING)
+    code, out, _ = run_cli(capsys, "core", "--k", k, "--format", "json", "word", ones)
+    assert code == 0 and len(json.loads(out)["window"]) == WORD_K_CEILING + 1
 
 
 def test_core_command_act(capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from kschur.affine import AffinePermutation
 from kschur.cores import (
-    addable_corners,
     apply_letters,
     apply_word,
     apply_word_nil,
@@ -19,13 +18,13 @@ from kschur.cores import (
     partitions_in_box,
     partitions_of,
     reading_word,
-    removable_corners,
     s_action,
     skew_reading_word,
     u_action,
     union_partitions,
     w_of_partition,
 )
+from kschur.reports import IdentityError
 
 
 def beta_set_is_core(parts, p):
@@ -34,6 +33,56 @@ def beta_set_is_core(parts, p):
     n = len(parts)
     beta = {parts[i] + (n - 1 - i) for i in range(n)}
     return all(b - p in beta for b in beta if b >= p)
+
+
+def addable_corners(parts):
+    """Cells (row, col) whose addition leaves a partition shape."""
+    corners = []
+    for i in range(len(parts)):
+        if i == 0 or parts[i] < parts[i - 1]:
+            corners.append((i + 1, parts[i] + 1))
+    corners.append((len(parts) + 1, 1))
+    return corners
+
+
+def removable_corners(parts):
+    """Cells (row, col) whose removal leaves a partition shape."""
+    corners = []
+    for i in range(len(parts)):
+        below = parts[i + 1] if i + 1 < len(parts) else 0
+        if parts[i] > below:
+            corners.append((i + 1, parts[i]))
+    return corners
+
+
+def corner_s_action(parts, i, k):
+    """Reference s_i on cells: add the addable corners of residue i, else
+    remove the removable ones, with the checks and messages of s_action."""
+    add = [c for c in addable_corners(parts) if content(*c, k) == i]
+    rem = [c for c in removable_corners(parts) if content(*c, k) == i]
+    if add and rem:
+        raise IdentityError(f"{parts} has addable and removable corners of residue {i}, k={k}")
+    if not (add or rem):
+        return parts
+    new = list(parts)
+    for row, _ in add:
+        if row == len(new) + 1:
+            new.append(1)
+        else:
+            new[row - 1] += 1
+    for row, _ in rem:
+        new[row - 1] -= 1
+    result = as_partition(new)
+    if not is_core(result, k):
+        raise IdentityError(f"s_{i} on {parts} gives {result}, not a {k + 1}-core")
+    return result
+
+
+def outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except IdentityError as exc:
+        return "raise", str(exc)
 
 
 def test_as_partition():
@@ -77,6 +126,19 @@ def test_corners():
     assert addable_corners((3, 1)) == [(1, 4), (2, 2), (3, 1)]
     assert removable_corners((3, 1)) == [(1, 3), (2, 1)]
     assert removable_corners(()) == []
+
+
+def test_s_action_matches_corner_reference_exhaustive():
+    # every partition, core or not, so both the value and the raise are compared
+    raised = 0
+    for n in range(13):
+        for parts in partitions_of(n):
+            for k in range(1, 6):
+                for i in range(k + 2):
+                    expected = outcome(corner_s_action, parts, i, k)
+                    assert outcome(s_action, parts, i, k) == expected, (parts, i, k)
+                    raised += expected[0] == "raise"
+    assert raised == 3560
 
 
 def test_s_action_on_empty():

@@ -466,6 +466,15 @@ def test_verify_pieri_report():
     assert all(c.seconds >= 0 for c in report.checks)
 
 
+def test_verify_pieri_builds_each_h_once(monkeypatch):
+    calls = Counter()
+    real = nilcoxeter.h
+    monkeypatch.setattr(nilcoxeter, "h", lambda k, i: calls.update([(k, i)]) or real(k, i))
+    report = verify_pieri(3, max_size=3)
+    assert report.passed and len(report.checks) > 1
+    assert calls == {(3, i): 1 for i in range(1, 4)}
+
+
 def test_verify_pieri_is_independent_of_the_solve(monkeypatch):
     # a Pieri set that drops (3,) from h_2 s_(1) at k=3 must fail the sweep,
     # and must not move any k-Schur function, which the solve reads off the

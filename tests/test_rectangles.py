@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from kschur import rectangles
 from kschur.affine import AffinePermutation
 from kschur.alcoves import act_linear, gamma_vectors, pseudo_translation
 from kschur.cores import bounded_to_core, k_bounded_partitions, partitions_in_box
@@ -307,6 +308,19 @@ def test_verify_main_report():
     for k in range(1, 4):
         for rect in all_rectangles(k):
             assert verify_main(rect, action_size=3).passed
+
+
+def test_verify_main_builds_each_rectangle_element_once_per_check(monkeypatch):
+    # one by_readings for the main check and one for the whole action
+    # check, not one per partition acted on
+    calls = []
+    real = rectangles.by_readings
+    monkeypatch.setattr(rectangles, "by_readings", lambda rect: calls.append(rect) or real(rect))
+    rect = Rectangle(3, cols=2, rows=2)
+    report = verify_main(rect, action_size=3)
+    assert report.passed
+    assert report.checks[1].details["partitions_checked"] > 1
+    assert calls == [rect, rect]
 
 
 def test_verify_main_equals_kschur():
