@@ -63,8 +63,8 @@ class AffinePermutation:
         """
         w = cls.identity(k)
         win = list(w.window)
-        for i in word:
-            _step(win, i)
+        for i in word:  # one letter per fold, so a descent does not stop it
+            fold_reduced(win, (i,))
         return w._derived(tuple(win))
 
     def value(self, j: int) -> int:
@@ -75,7 +75,7 @@ class AffinePermutation:
     def right_mult(self, i: int) -> "AffinePermutation":
         """w * s_i."""
         win = list(self.window)
-        _step(win, i)
+        fold_reduced(win, (i,))
         return self._derived(tuple(win))
 
     def left_mult(self, i: int) -> "AffinePermutation":
@@ -84,16 +84,13 @@ class AffinePermutation:
 
     def has_right_descent(self, i: int) -> bool:
         """True iff w(i) > w(i+1), i.e. length(w * s_i) = length(w) - 1."""
-        return not _step(list(self.window), i)
+        return not fold_reduced(list(self.window), (i,))
 
     def times_reduced(self, word: Iterable[int]) -> Optional["AffinePermutation"]:
         """w * s_{i_1} * ... * s_{i_m} if each letter adds one to the length
         (the nilCoxeter product u(w) u_{i_1} ... u_{i_m}), else None."""
         win = list(self.window)
-        for i in word:
-            if not _step(win, i):
-                return None
-        return self._derived(tuple(win))
+        return self._derived(tuple(win)) if fold_reduced(win, word) else None
 
     def right_descents(self) -> list[int]:
         return [i for i in range(self.k + 1) if self.has_right_descent(i)]
@@ -133,7 +130,7 @@ class AffinePermutation:
                         break
                 else:
                     return tuple(reversed(letters))
-            _step(win, i)
+            fold_reduced(win, (i,))
             letters.append(i)
 
     def inverse(self) -> "AffinePermutation":
@@ -168,19 +165,26 @@ class AffinePermutation:
         return self._derived(tuple(1 - self.value(1 - j) for j in range(1, self.k + 2)))
 
 
-def _step(win: list[int], i: int) -> bool:
-    """Make the window list of w that of w * s_i, in place: swap entries i,
-    i+1 (s_0: the ends, shifted by k+1).  True iff the length went up."""
+def fold_reduced(win: list[int], word: Iterable[int]) -> bool:
+    """Make the window list of w that of w * s_{i_1} * ... * s_{i_m}, in
+    place, letter by letter: s_i swaps entries i, i+1 (s_0: the ends,
+    shifted by k+1).  True iff every letter raised the length; at the first
+    that does not, return False with that letter applied and the rest not,
+    so a one-letter word is the step w -> w * s_i whichever way the length
+    goes.  The one swap rule of the group: a window list is all it touches."""
     n = len(win)
-    if not 0 <= i < n:
-        raise ValueError(f"generator index must be in 0..{n - 1}, got {i}")
-    if i:
-        a, b = win[i - 1], win[i]
-        win[i - 1], win[i] = b, a
-    else:
-        a, b = win[n - 1] - n, win[0]
-        win[0], win[n - 1] = a, b + n
-    return a < b
+    for i in word:
+        if i:
+            if not 0 < i < n:
+                raise ValueError(f"generator index must be in 0..{n - 1}, got {i}")
+            a, b = win[i - 1], win[i]
+            win[i - 1], win[i] = b, a
+        else:
+            a, b = win[-1] - n, win[0]
+            win[0], win[-1] = a, b + n
+        if a > b:
+            return False
+    return True
 
 
 def rotate_word(word: Iterable[int], m: int, k: int) -> tuple[int, ...]:

@@ -36,11 +36,11 @@ from .reports import Report
 # hours.  Measured on a 2-vCPU VM with Python 3.11.
 #
 # verify --kmax, and the k of kschur and lr: verify --kmax 8 --suite all
-# takes 144 s and 1,063 MB peak RSS, 9 would take hours
+# takes 58 s and 813 MB peak RSS; 9 waits until the memo's memory is bounded
 KMAX_CEILING = 8
 # the size of every k-bounded partition argument: it admits the 4x4
 # rectangle at k = 7, and at k = 8 the slowest size-16 partition tried,
-# (3,3,3,2,2,1,1,1), takes 94 s and 805 MB, within what verify --kmax 8 takes
+# (3,3,3,2,2,1,1,1), takes 41 s and 651 MB, within what verify --kmax 8 takes
 SIZE_CEILING = 16
 # a core argument may be as large as the largest core of an admitted
 # partition, the 2-core of (1^SIZE_CEILING)

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from typing import Union
 
-from .affine import AffinePermutation
+from .affine import AffinePermutation, fold_reduced
 from .nilcoxeter import AlgebraElement
 from .rectangles import Rectangle
 
@@ -95,7 +95,6 @@ class ExpansionDocument:
             )
         else:
             index = _integers(raw_index)
-        identity = None
         terms = []
         for t in data["terms"]:
             window = _integers(t["window"])
@@ -103,14 +102,12 @@ class ExpansionDocument:
                 raise ValueError(f"window needs {k + 1} entries, got {len(window)}")
             if terms and window <= terms[-1].window:
                 raise ValueError(f"window {window} does not follow {terms[-1].window}")
-            if identity is None:
-                identity = AffinePermutation.identity(k)
             word = _integers(t["word"])
             coeff = _integer(t["coeff"])
             if coeff == 0:
                 raise ValueError("zero coefficient in document")
-            w = identity.times_reduced(word)
-            if w is None or w.window != window:
+            win = list(range(1, k + 2))
+            if not fold_reduced(win, word) or tuple(win) != window:
                 raise ValueError(f"word {word} is not reduced for window {window}")
             terms.append(Term(window=window, word=word, coeff=coeff))
         return cls(k=k, index=index, terms=tuple(terms))

@@ -4,7 +4,8 @@ The algebra is generated by u_0, ..., u_k with the braid relations of
 the affine symmetric group and u_i^2 = 0.  Products of generators along
 reduced words give the standard basis {u(w)}, indexed by group elements;
 a product u(w) u_i is u(w s_i) when the length goes up and 0 otherwise.
-Elements are sparse integer combinations keyed by canonical windows.
+Elements are sparse integer combinations keyed by canonical windows, as
+plain tuples: group elements are built only where they leave an element.
 
 The complete homogeneous analogues h_i (sums of cyclically decreasing
 products over i-subsets of the generator indices) commute pairwise.  In
@@ -20,7 +21,7 @@ import functools
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .affine import AffinePermutation
+from .affine import AffinePermutation, fold_reduced
 from .cores import (
     Partition,
     apply_word_nil,
@@ -52,8 +53,8 @@ def basis_times_generator(
 class AlgebraElement:
     """Sparse integer combination of standard basis elements u(w).
 
-    Immutable by convention: operations return new elements.  Terms with
-    coefficient zero are never stored.
+    Immutable by convention: operations return new elements.  Terms are
+    keyed by window tuple; terms with coefficient zero are never stored.
     """
 
     __slots__ = ("k", "_terms")
@@ -64,14 +65,23 @@ class AlgebraElement:
         terms: Union[Mapping[AffinePermutation, int], Iterable[tuple[AffinePermutation, int]]] = (),
     ):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[AffinePermutation, int] = {}
+        acc: dict[tuple[int, ...], int] = {}
         for w, c in items:
             if w.k != k:
                 raise ValueError(f"rank mismatch: element has k={k}, term has k={w.k}")
-            if c:
-                acc[w] = acc.get(w, 0) + c
+            acc[w.window] = acc.get(w.window, 0) + c
+        self._set(k, acc)
+
+    @classmethod
+    def _of_windows(cls, k: int, terms: Mapping[tuple[int, ...], int]) -> "AlgebraElement":
+        """Unchecked: the windows come from elements of rank k already."""
+        element = object.__new__(cls)
+        element._set(k, terms)
+        return element
+
+    def _set(self, k: int, terms: Mapping[tuple[int, ...], int]) -> None:
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "_terms", {w: c for w, c in acc.items() if c})
+        object.__setattr__(self, "_terms", {w: c for w, c in terms.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
@@ -89,13 +99,14 @@ class AlgebraElement:
         return cls(w.k, [(w, 1)])
 
     def coefficient(self, w: AffinePermutation) -> int:
-        return self._terms.get(w, 0)
+        return self._terms.get(w.window, 0)
 
     def support(self) -> list[AffinePermutation]:
-        return sorted(self._terms, key=lambda w: w.window)
+        return [w for w, _ in self.items()]
 
     def items(self) -> list[tuple[AffinePermutation, int]]:
-        return [(w, self._terms[w]) for w in self.support()]
+        e = AffinePermutation.identity(self.k)
+        return [(e._derived(w), self._terms[w]) for w in sorted(self._terms)]
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -112,18 +123,21 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_rank(other)
-        return AlgebraElement(self.k, [*self._terms.items(), *other._terms.items()])
+        terms = dict(self._terms)
+        for w, c in other._terms.items():
+            terms[w] = terms.get(w, 0) + c
+        return AlgebraElement._of_windows(self.k, terms)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.k, {w: -c for w, c in self._terms.items()})
+        return AlgebraElement._of_windows(self.k, {w: -c for w, c in self._terms.items()})
 
     def __rmul__(self, scalar: int) -> "AlgebraElement":
         if not isinstance(scalar, int):
             return NotImplemented
-        return AlgebraElement(self.k, {w: scalar * c for w, c in self._terms.items()})
+        return AlgebraElement._of_windows(self.k, {w: scalar * c for w, c in self._terms.items()})
 
     def __mul__(self, other) -> "AlgebraElement":
         if isinstance(other, int):
@@ -131,13 +145,15 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_rank(other)
-        right = [(w.reduced_word(), c) for w, c in other._terms.items()]
-        return AlgebraElement(self.k, _fold(self._terms, right))
+        right = [(w.reduced_word(), c) for w, c in other.items()]
+        return AlgebraElement._of_windows(self.k, _fold(self._terms, right))
 
     def times_generator(self, i: int, side: str = "right") -> "AlgebraElement":
-        """Product with a single generator u_i on the given side."""
-        products = [(basis_times_generator(w, i, side), c) for w, c in self._terms.items()]
-        return AlgebraElement(self.k, [(v, c) for v, c in products if v is not None])
+        """Product with a single generator u_i on the given side: distinct
+        terms stay distinct, as w -> w s_i and w -> s_i w are bijections."""
+        e = AffinePermutation.identity(self.k)
+        products = [(basis_times_generator(e._derived(w), i, side), c) for w, c in self._terms.items()]
+        return AlgebraElement._of_windows(self.k, {v.window: c for v, c in products if v is not None})
 
     def _check_rank(self, other: "AlgebraElement") -> None:
         if self.k != other.k:
@@ -156,15 +172,17 @@ class AlgebraElement:
         return " ".join(bits)
 
 
-def _fold(terms: Mapping[AffinePermutation, int], right: Sequence[tuple]) -> dict:
-    """The sum of c*d u(w) u(word) over the terms w: c and the pairs
-    (word, d), word reduced: each word folds on the right of each w through
-    `times_reduced`, which drops a product whose length does not add up."""
-    acc: dict[AffinePermutation, int] = {}
+def _fold(terms: Mapping[tuple[int, ...], int], right: Sequence[tuple]) -> dict:
+    """The sum of c*d u(w) u(word) over the window-keyed terms w: c and the
+    pairs (word, d), word reduced: each word folds on the right of each w
+    through `fold_reduced`, which drops a product whose length does not add
+    up."""
+    acc: dict[tuple[int, ...], int] = {}
     for w, c in terms.items():
         for word, d in right:
-            v = w.times_reduced(word)
-            if v is not None:
+            win = list(w)
+            if fold_reduced(win, word):
+                v = tuple(win)
                 acc[v] = acc.get(v, 0) + c * d
     return acc
 
@@ -303,14 +321,14 @@ def _solve(k: int, lam: Partition) -> tuple[AlgebraElement, dict[Partition, int]
     recursion ends, as nu_1 <= k).  The h's commute, so the words of h_i
     fold on the right of each term of s_rest."""
     if not lam:
-        terms, expansion = {AffinePermutation.identity(k): 1}, {(): 1}
+        terms, expansion = {tuple(range(1, k + 2)): 1}, {(): 1}
     else:
         i, rest = lam[0], lam[1:]
         element, rest_expansion = _solve(k, rest)
         h_i = [(cyclically_decreasing_word(k, s), 1) for s in combinations(range(k + 1), i)]
         terms = _fold(element._terms, h_i)
         expansion = {union_partitions(mu, (i,)): c for mu, c in rest_expansion.items()}
-        excess = _excess(k, lam, lambda w: terms.get(w, 0))
+        excess = _excess(k, lam, lambda w: terms.get(w.window, 0))
         if any(nu[0] <= i for nu in excess):
             raise IdentityError(f"h_{i} s_{rest} at k={k}: excess {excess}, not only nu_1 > {i}")
         for nu, c in excess.items():
@@ -319,7 +337,7 @@ def _solve(k: int, lam: Partition) -> tuple[AlgebraElement, dict[Partition, int]
                 terms[w] = terms.get(w, 0) - c * d
             for mu, d in nu_expansion.items():
                 expansion[mu] = expansion.get(mu, 0) - c * d
-    result = (AlgebraElement(k, terms), {mu: d for mu, d in expansion.items() if d})
+    result = (AlgebraElement._of_windows(k, terms), {mu: d for mu, d in expansion.items() if d})
     certify(k, lam, result[0].coefficient)
     return result
 

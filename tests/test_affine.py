@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from kschur.affine import AffinePermutation, _step, reflect_word, rotate_word
+from kschur.affine import AffinePermutation, fold_reduced, reflect_word, rotate_word
 
 
 def random_element(rng, k, max_len=12):
@@ -135,10 +135,10 @@ def step_and_undo_reduced_word(w):
     letters = []
     while True:
         for i in range(len(win)):
-            if not _step(win, i):
+            if not fold_reduced(win, (i,)):
                 letters.append(i)
                 break
-            _step(win, i)
+            fold_reduced(win, (i,))
         else:
             return tuple(reversed(letters))
 
@@ -330,3 +330,44 @@ def test_times_reduced_from_any_start_matches_length_oracle():
 def test_times_reduced_rejects_bad_letters():
     with pytest.raises(ValueError):
         AffinePermutation.identity(2).times_reduced((1, 3))
+
+
+def generator(k, i):
+    """s_i from its definition: j -> j + 1 for j = i, j -> j - 1 for
+    j = i + 1 (mod k + 1), built without the swap rule under test."""
+    n = k + 1
+    window = [j + 1 if j % n == i else j - 1 if j % n == (i + 1) % n else j for j in range(1, n + 1)]
+    return AffinePermutation(k, tuple(window))
+
+
+def test_fold_reduced_matches_step_and_length_oracle():
+    # every window reached by at most 3 letters, every word of at most 5:
+    # the fold says True exactly when the length adds up, and then holds
+    # the product, which the oracle builds by composing generators
+    for k in range(1, 4):
+        gens = [generator(k, i) for i in range(k + 1)]
+        for i, s in enumerate(gens):
+            win = list(range(1, k + 2))
+            fold_reduced(win, (i,))
+            assert tuple(win) == s.window, (k, i)
+        starts = {AffinePermutation.from_word(k, word) for word in all_words(k, 3)}
+        for w in starts:
+            products = {(): w}
+            for word in all_words(k, 5):
+                if word:
+                    products[word] = products[word[:-1]] * gens[word[-1]]
+                target = products[word]
+                win = list(w.window)
+                up = fold_reduced(win, word)
+                assert up == (target.length() == w.length() + len(word)), (k, w.window, word)
+                if up:
+                    assert tuple(win) == target.window, (k, w.window, word)
+
+
+def test_fold_reduced_rejects_letters_out_of_range():
+    # a negative letter must not index the window from its end
+    for k in range(1, 5):
+        for letter in (-1, k + 1):
+            for word in ((letter,), (0, letter), (1, 0, letter)):
+                with pytest.raises(ValueError, match="generator index"):
+                    fold_reduced(list(range(1, k + 2)), word)

@@ -588,6 +588,27 @@ def test_cache_float_and_bool_values_recompute(tmp_path, capsys, monkeypatch):
     assert path.read_text() == uncached.strip()
 
 
+@pytest.mark.parametrize("letter", [-1, 4])
+def test_cache_bad_letter_in_word_recomputes(tmp_path, capsys, monkeypatch, letter):
+    """A cached word with a letter outside 0..k is corrupt: at k = 3 the
+    letter -1 would swap the last two window entries, as the letter 3
+    does, if it indexed the window from its end, and 4 indexes past it."""
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    argv = ["kschur", "--k", "3", "--partition", "2,1", "--format", "json"]
+    code, uncached, _ = run_cli(capsys, *argv, "--no-cache")
+    assert code == 0
+    run_cli(capsys, *argv)
+    path = ExpansionCache(tmp_path).file(3, (2, 1))
+    data = json.loads(path.read_text())
+    term = next(t for t in data["terms"] if 3 in t["word"])
+    term["word"] = [letter if i == 3 else i for i in term["word"]]
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (0, uncached)
+    assert "warning: ignoring corrupt cache entry" in err
+    assert path.read_text() == uncached.strip()
+
+
 def test_cache_huge_k_recomputes(tmp_path, capsys, monkeypatch):
     """A cached document whose k is huge is corrupt, found so before
     anything of size k is built."""

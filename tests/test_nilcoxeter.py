@@ -573,7 +573,34 @@ def test_lr_coefficient_matches_product_coefficients():
 
 def test_str_and_repr():
     elem = h(2, 1)
-    assert "AlgebraElement" in repr(elem)
-    assert "u0" in str(elem)
+    assert repr(elem) == "AlgebraElement(k=2, terms=3)"
+    assert str(elem) == "+1·u0 +1·u2 +1·u1"
     assert str(AlgebraElement.zero(2)) == "0"
-    assert "1" in str(AlgebraElement.unit(2))
+    assert str(AlgebraElement.unit(2)) == "+1·1"
+
+
+def test_algebra_element_public_surface():
+    k = 3
+    words = [(2, 1, 3, 2), (), (3, 2, 1), (0,), (1, 2)]
+    ws = [AffinePermutation.from_word(k, word) for word in words]
+    coeffs = [2, -1, 3, 1, -4]
+    elem = AlgebraElement(k, dict(zip(ws, coeffs)))
+    assert elem == AlgebraElement(k, list(zip(ws, coeffs)))
+    assert elem == AlgebraElement(k, ((w, c) for w, c in zip(ws, coeffs)))
+    assert AlgebraElement(k, [(ws[0], 1), (ws[0], -1)]).is_zero()
+    by_window = sorted(zip(ws, coeffs), key=lambda pair: pair[0].window)
+    assert elem.items() == by_window
+    assert elem.support() == [w for w, _ in by_window]
+    assert all(type(w) is AffinePermutation for w in elem.support())
+    for w, c in zip(ws, coeffs):
+        assert elem.coefficient(w) == c
+    assert elem.coefficient(AffinePermutation.from_word(k, (0, 1))) == 0
+    assert elem.coefficient(AffinePermutation.identity(k + 1)) == 0
+    for other in (AffinePermutation.identity(k + 1), AffinePermutation.identity(k - 1)):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            AlgebraElement(k, {other: 1})
+        with pytest.raises(ValueError, match="rank mismatch"):
+            AlgebraElement(k, [(ws[0], 1), (other, 1)])
+    assert AlgebraElement.__hash__ is None
+    with pytest.raises(TypeError):
+        hash(elem)
