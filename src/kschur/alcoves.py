@@ -121,9 +121,10 @@ def fundamental_centroid(k: int) -> Point:
 
 
 def centroid(w: AffinePermutation) -> Point:
-    """Centroid of the alcove of w: the inverse of w applied to the
-    fundamental centroid."""
-    return act(w.inverse(), fundamental_centroid(w.k))
+    """Centroid of the alcove of w, the inverse of w applied to the
+    fundamental centroid: coordinate j is (k+1 - w(j))/(k+1)."""
+    n = w.k + 1
+    return tuple(Fraction(n - a, n) for a in w.window)
 
 
 def is_dominant(p: Sequence) -> bool:
@@ -175,20 +176,15 @@ def pseudo_translation(gamma: Sequence[int]) -> AffinePermutation:
     generally in different directions).
 
     The walk and the certificate run on the target centroid scaled by
-    k+1: coordinate j of the centroid of w, times k+1, is
-    (k - t) - q(k+1) where w(j) = t + q(k+1) + 1 with t in 0..k, and it
-    must match the target modulo the diagonal.
+    k+1: coordinate j of the centroid of w, times k+1, is k+1 - w(j)
+    (see `centroid`), and it must match the target modulo the diagonal.
     """
     if any(int(x) != x for x in gamma):
         raise ValueError(f"weight must be integral: {gamma}")
     n = len(gamma)
     target = [n - 1 - t + n * int(x) for t, x in enumerate(gamma)]
     w = _walk(list(target), n)
-    offsets = set()
-    for j, a in enumerate(w.window):
-        q, t = divmod(a - 1, n)
-        offsets.add(n - 1 - t - q * n - target[j])
-    if len(offsets) != 1:
+    if len({n - a - b for a, b in zip(w.window, target)}) != 1:
         target = add_points(fundamental_centroid(n - 1), gamma)
         raise IdentityError(f"alcove of {target} does not have it as centroid")
     return w

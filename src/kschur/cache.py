@@ -42,8 +42,7 @@ class ExpansionCache:
             doc = ExpansionDocument.from_json(path.read_text())
             if doc.k != k or doc.index != lam:
                 raise ValueError(f"holds the document of k={doc.k} index {doc.index}")
-            coeffs = {t.window: t.coeff for t in doc.terms}
-            certify(k, lam, lambda w: coeffs.get(w.window, 0))
+            certify(k, lam, {t.window: t.coeff for t in doc.terms})
         except (FileNotFoundError, NotADirectoryError):
             return None
         except (OSError, KeyError, TypeError, ValueError, IdentityError) as exc:

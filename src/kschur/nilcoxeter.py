@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .affine import AffinePermutation, fold_reduced
 from .cores import (
@@ -227,13 +227,29 @@ def h(k: int, i: int) -> AlgebraElement:
     """
     if not 0 <= i <= k:
         raise ValueError(f"h index must be in 0..{k}, got {i}")
-    terms = {}
-    for subset in combinations(range(k + 1), i):
-        w = cyclically_decreasing(k, subset)
-        if w in terms:
-            raise IdentityError(f"h_{i}: subset {subset} repeats a group element")
-        terms[w] = 1
-    return AlgebraElement(k, terms)
+    e = AffinePermutation.identity(k)
+    return distinct_sum(k, f"h_{i} at k={k}", ((word, e.times_reduced(word)) for word in h_words(k, i)))
+
+
+def h_words(k: int, i: int) -> list[tuple[int, ...]]:
+    """The binomial(k+1, i) cyclically decreasing words of h_i, one for
+    each i-subset of the generator indices."""
+    return [cyclically_decreasing_word(k, subset) for subset in combinations(range(k + 1), i)]
+
+
+def distinct_sum(
+    k: int, what: str, labelled: Iterable[tuple[object, Optional[AffinePermutation]]]
+) -> AlgebraElement:
+    """The multiplicity-free sum of u(w) over the (label, w) pairs, each
+    with coefficient one.  A w that is None (a product that died) or
+    repeats an earlier one raises IdentityError naming what and the label."""
+    terms: dict[tuple[int, ...], int] = {}
+    for label, w in labelled:
+        if w is None or w.window in terms:
+            fault = "the product is zero" if w is None else "repeats an earlier term"
+            raise IdentityError(f"{what}, term {label}: {fault}")
+        terms[w.window] = 1
+    return AlgebraElement._of_windows(k, terms)
 
 
 def h_product(k: int, mu: Sequence[int]) -> AlgebraElement:
@@ -291,25 +307,25 @@ def kschur_h_expansion(k: int, lam: Sequence[int]) -> dict[Partition, int]:
     return dict(_solve(k, as_bounded(lam, k))[1])
 
 
-def certify(k: int, lam: Partition, coefficient: Callable[[AffinePermutation], int]) -> None:
-    """Raise IdentityError unless coefficient(w_nu) is 1 for nu = lam and 0
-    for every other k-bounded nu with |nu| = |lam|; in the degree-|lam| part
-    of the h-subring this holds exactly for the k-Schur function of lam."""
-    if excess := _excess(k, lam, coefficient):
+def certify(k: int, lam: Partition, terms: Mapping[tuple[int, ...], int]) -> None:
+    """Raise IdentityError unless the window-keyed terms hold 1 on w_nu for
+    nu = lam and 0 on w_nu for every other k-bounded nu with |nu| = |lam|:
+    in degree |lam| of the h-subring, exactly the k-Schur function of lam."""
+    if excess := _excess(k, lam, terms):
         raise IdentityError(f"{lam} at k={k}: coefficient minus delta on w_nu is {excess}")
 
 
 @functools.cache
-def _grassmannians(k: int, n: int) -> tuple[tuple[Partition, AffinePermutation], ...]:
-    """(nu, w_nu) for every k-bounded nu with |nu| = n, built once until `clear_memo`."""
-    return tuple((nu, w_of_partition(nu, k)) for nu in k_bounded_partitions(n, k))
+def _grassmannians(k: int, n: int) -> tuple[tuple[Partition, tuple[int, ...]], ...]:
+    """(nu, window of w_nu) for every k-bounded nu with |nu| = n, built once until `clear_memo`."""
+    return tuple((nu, w_of_partition(nu, k).window) for nu in k_bounded_partitions(n, k))
 
 
-def _excess(k: int, lam: Partition, coefficient: Callable[[AffinePermutation], int]) -> dict:
-    """The nonzero coefficient(w_nu) - delta_{lam nu} over the (nu, w_nu) of
-    degree |lam|: in the h-subring, the multiplicity of s_nu less that of
-    s_lam, since s_rho has coefficient delta_{rho nu} on w_nu."""
-    excess = {nu: coefficient(w) - (nu == lam) for nu, w in _grassmannians(k, sum(lam))}
+def _excess(k: int, lam: Partition, terms: Mapping[tuple[int, ...], int]) -> dict:
+    """The nonzero coefficient on w_nu less delta_{lam nu} in the window-keyed
+    terms, over the nu of degree |lam|: in the h-subring, the multiplicity of
+    s_nu less that of s_lam, since s_rho has coefficient delta_{rho nu} on w_nu."""
+    excess = {nu: terms.get(w, 0) - (nu == lam) for nu, w in _grassmannians(k, sum(lam))}
     return {nu: c for nu, c in excess.items() if c}
 
 
@@ -325,10 +341,9 @@ def _solve(k: int, lam: Partition) -> tuple[AlgebraElement, dict[Partition, int]
     else:
         i, rest = lam[0], lam[1:]
         element, rest_expansion = _solve(k, rest)
-        h_i = [(cyclically_decreasing_word(k, s), 1) for s in combinations(range(k + 1), i)]
-        terms = _fold(element._terms, h_i)
+        terms = _fold(element._terms, [(word, 1) for word in h_words(k, i)])
         expansion = {union_partitions(mu, (i,)): c for mu, c in rest_expansion.items()}
-        excess = _excess(k, lam, lambda w: terms.get(w.window, 0))
+        excess = _excess(k, lam, terms)
         if any(nu[0] <= i for nu in excess):
             raise IdentityError(f"h_{i} s_{rest} at k={k}: excess {excess}, not only nu_1 > {i}")
         for nu, c in excess.items():
@@ -338,7 +353,7 @@ def _solve(k: int, lam: Partition) -> tuple[AlgebraElement, dict[Partition, int]
             for mu, d in nu_expansion.items():
                 expansion[mu] = expansion.get(mu, 0) - c * d
     result = (AlgebraElement._of_windows(k, terms), {mu: d for mu, d in expansion.items() if d})
-    certify(k, lam, result[0].coefficient)
+    certify(k, lam, result[0]._terms)
     return result
 
 
@@ -370,12 +385,12 @@ def pieri_partitions(k: int, lam: Sequence[int], i: int) -> list[Partition]:
     lam = as_bounded(lam, k)
     core = bounded_to_core(lam, k)
     seen: set[Partition] = set()
-    for subset in combinations(range(k + 1), i):
-        res = apply_word_nil(core, cyclically_decreasing_word(k, subset), k)
+    for word in h_words(k, i):
+        res = apply_word_nil(core, word, k)
         if res is not None:
             mu = core_to_bounded(res, k)
             if mu in seen:
-                raise IdentityError(f"h_{i} on {lam}: subset {subset} repeats {mu}")
+                raise IdentityError(f"h_{i} on {lam}: word {word} repeats {mu}")
             seen.add(mu)
     return sorted(seen)
 

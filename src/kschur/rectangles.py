@@ -49,6 +49,7 @@ from .nilcoxeter import (
     AlgebraElement,
     act_on_core,
     cyclically_decreasing_word,
+    distinct_sum,
     kschur,
     negative_terms,
 )
@@ -88,45 +89,34 @@ def by_readings(rect: Rectangle) -> AlgebraElement:
     contained partition: the shape keeps the partition's rows on top of
     the full rectangle rows, skewed by the partition itself."""
     k, c, r = rect.k, rect.cols, rect.rows
-    terms = {}
-    for nu in partitions_in_box(c, r):
-        word = skew_reading_word((c,) * r + nu, nu, k)
-        w = AffinePermutation.identity(k).times_reduced(word)
-        if w is None or w in terms:
-            raise IdentityError(f"{rect}: reading word {word} of {nu} is not a new reduced word")
-        terms[w] = 1
-    return AlgebraElement(k, terms)
+    e = AffinePermutation.identity(k)
+    return distinct_sum(k, f"{rect} by reading words", (
+        (nu, e.times_reduced(skew_reading_word((c,) * r + nu, nu, k))) for nu in partitions_in_box(c, r)
+    ))
 
 
 def by_translations(rect: Rectangle) -> AlgebraElement:
     """Sum of u(z) over the pseudo-translations z of the fundamental
     alcove in the 0/1 directions with cols many ones."""
-    k, c = rect.k, rect.cols
-    terms = {}
-    for gamma in gamma_vectors(k, c):
-        w = pseudo_translation(gamma)
-        if w in terms:
-            raise IdentityError(f"{rect}: direction {gamma} repeats a group element")
-        terms[w] = 1
-    return AlgebraElement(k, terms)
+    return distinct_sum(rect.k, f"{rect} by translations", (
+        (gamma, pseudo_translation(gamma)) for gamma in gamma_vectors(rect.k, rect.cols)
+    ))
 
 
 def by_columns(rect: Rectangle) -> AlgebraElement:
     """Sum over c-subsets A of generator indices of the product of the
     cyclically decreasing elements of A, A+1, ..., A+rows-1."""
     k, c, r = rect.k, rect.cols, rect.rows
-    terms = {}
-    for subset in combinations(range(k + 1), c):
+    e = AffinePermutation.identity(k)
+
+    def product(subset: tuple[int, ...]):
         # rotating by d, an automorphism, takes A's word to a word of A+d
         base = cyclically_decreasing_word(k, subset)
-        word: list[int] = []
-        for d in range(r):
-            word.extend(rotate_word(base, d, k))
-        w = AffinePermutation.identity(k).times_reduced(word)
-        if w is None or w in terms:
-            raise IdentityError(f"{rect}: column word {word} of {subset} is not a new reduced word")
-        terms[w] = 1
-    return AlgebraElement(k, terms)
+        return e.times_reduced([i for d in range(r) for i in rotate_word(base, d, k)])
+
+    return distinct_sum(k, f"{rect} by column words", (
+        (subset, product(subset)) for subset in combinations(range(k + 1), c)
+    ))
 
 
 def by_windows(rect: Rectangle) -> AlgebraElement:
@@ -134,15 +124,10 @@ def by_windows(rect: Rectangle) -> AlgebraElement:
     element whose window entry is i - rows when i is in B and i + cols
     otherwise."""
     k, c, r = rect.k, rect.cols, rect.rows
-    terms = {}
-    for chosen in combinations(range(1, k + 2), c):
-        in_b = set(chosen)
-        window = tuple(i - r if i in in_b else i + c for i in range(1, k + 2))
-        w = AffinePermutation(k, window)
-        if w in terms:
-            raise IdentityError(f"{rect}: window positions {chosen} repeat a group element")
-        terms[w] = 1
-    return AlgebraElement(k, terms)
+    return distinct_sum(k, f"{rect} by windows", (
+        (chosen, AffinePermutation(k, tuple(i - r if i in chosen else i + c for i in range(1, k + 2))))
+        for chosen in combinations(range(1, k + 2), c)
+    ))
 
 
 def column_choice(rect: Rectangle, nu: Sequence[int]) -> tuple[int, ...]:

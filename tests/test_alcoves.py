@@ -160,6 +160,16 @@ def test_centroid_identity():
     assert centroid(AffinePermutation.identity(3)) == fundamental_centroid(3)
 
 
+def test_centroid_closed_form_matches_the_action():
+    # the window form against the definition, the inverse of w acting on
+    # the fundamental centroid: equal as tuples, not only modulo the diagonal
+    rng = random.Random(13)
+    for _ in range(2000):
+        k = rng.randint(1, 6)
+        w = random_element(rng, k, max_len=16)
+        assert centroid(w) == act(w.inverse(), fundamental_centroid(k)), w
+
+
 def test_window_from_reflected_centroid():
     # the window of w is the normalized reversal of the centroid of the
     # index-reflected element, scaled by k+1

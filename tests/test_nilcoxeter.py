@@ -201,6 +201,17 @@ def test_h_term_counts():
             assert all(w.length() == i for w, _ in elem.items())
 
 
+@pytest.mark.parametrize(
+    "words, fault",
+    [([(1,), (1,)], "repeats an earlier term"), ([(1, 1)], "the product is zero")],
+    ids=["repeated", "dead"],
+)
+def test_h_rejects_repeated_or_dead_word(monkeypatch, words, fault):
+    monkeypatch.setattr(nilcoxeter, "h_words", lambda k, i: words)
+    with pytest.raises(IdentityError, match=fault):
+        h(3, 1)
+
+
 def test_h_product_bounds():
     assert h_product(3, ()) == AlgebraElement.unit(3)
     with pytest.raises(ValueError):

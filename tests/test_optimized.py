@@ -41,6 +41,20 @@ print(json.dumps(rectangles.verify_main(rectangles.Rectangle(3, 2, 2)).to_dict()
 """
 
 
+# every contained partition given the empty reading word: the first term
+# is the identity and the second repeats it
+REPEATED_READING_WORD = """
+from kschur import rectangles
+from kschur.reports import IdentityError
+
+rectangles.skew_reading_word = lambda shape, inner, k: ()
+try:
+    rectangles.by_readings(rectangles.Rectangle(3, 2, 2))
+except IdentityError as exc:
+    print("IdentityError:", exc)
+"""
+
+
 def run_python(flags, script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
@@ -64,6 +78,11 @@ def test_verify_main_fails_broken_rectangle(flags):
     (action,) = [c for c in report["checks"] if c["name"] == "single-term action k=3 cols=2 rows=2"]
     assert action["passed"] is False
     assert action["details"]["failures"]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_by_readings_rejects_repeated_term(flags):
+    assert run_python(flags, REPEATED_READING_WORD).startswith("IdentityError:")
 
 
 # s_0 on (3,), which is not a 3-core, adds the cell (1, 4) and gives (4,)

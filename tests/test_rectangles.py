@@ -22,6 +22,7 @@ from kschur.rectangles import (
     verify_equivalences,
     verify_main,
 )
+from kschur.reports import IdentityError
 
 TEN_WORDS_K4 = [
     (4, 3, 0, 4, 1, 0),
@@ -167,6 +168,34 @@ def test_all_four_agree_small():
             assert x == by_translations(rect)
             assert x == by_columns(rect)
             assert x == by_windows(rect)
+
+
+REPEATED, DEAD = "repeats an earlier term", "the product is zero"
+
+
+@pytest.mark.parametrize(
+    "formula, source, fake, fault",
+    [
+        (by_readings, "skew_reading_word", lambda shape, inner, k: (), REPEATED),
+        (by_readings, "skew_reading_word", lambda shape, inner, k: (1, 1), DEAD),
+        (by_translations, "pseudo_translation", lambda gamma: AffinePermutation.identity(3), REPEATED),
+        (by_translations, "pseudo_translation", lambda gamma: None, DEAD),
+        (by_columns, "cyclically_decreasing_word", lambda k, subset: (), REPEATED),
+        (by_columns, "cyclically_decreasing_word", lambda k, subset: (1, 1), DEAD),
+        (by_windows, "combinations", lambda positions, c: [tuple(positions)[:c]] * 2, REPEATED),
+    ],
+    ids=[
+        "readings-repeated", "readings-dead", "translations-repeated", "translations-dead",
+        "columns-repeated", "columns-dead", "windows-repeated",
+    ],
+)
+def test_formula_rejects_repeated_or_dead_term(monkeypatch, formula, source, fake, fault):
+    # each formula is a sum of distinct basis elements with coefficient
+    # one: a term source that repeats an element or gives a zero product
+    # must raise, not add up to a coefficient 2 or drop a term
+    monkeypatch.setattr(rectangles, source, fake)
+    with pytest.raises(IdentityError, match=fault):
+        formula(Rectangle(3, 2, 2))
 
 
 def test_column_choice_worked_example():
