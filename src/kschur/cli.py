@@ -206,7 +206,10 @@ def parse_generator_chain(text: str) -> list[tuple[str, int]]:
         if match is None:
             raise UsageError(f"cannot parse generators {text!r} at position {pos}")
         if match.group(1):
-            out.append((match.group(1), int(match.group(2))))
+            try:
+                out.append((match.group(1), int(match.group(2))))
+            except ValueError:  # more digits than int() converts
+                raise UsageError(f"generator index at position {pos} is too long")
         pos = match.end()
     if not out:
         raise UsageError("empty generator chain")

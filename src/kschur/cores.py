@@ -20,8 +20,10 @@ Partition = tuple[int, ...]
 def as_partition(seq: Iterable[int]) -> Partition:
     """Validate and normalize a partition, dropping trailing zeros."""
     parts = tuple(seq)
-    while parts and parts[-1] == 0:
-        parts = parts[:-1]
+    end = len(parts)
+    while end and parts[end - 1] == 0:
+        end -= 1
+    parts = parts[:end]
     if any(p <= 0 for p in parts):
         raise ValueError(f"partition parts must be positive: {parts}")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -73,9 +75,11 @@ def content(row: int, col: int, k: int) -> int:
     return (col - row) % (k + 1)
 
 
-def hook_length(parts: Partition, conj: Partition, row: int, col: int) -> int:
-    # 1-indexed cell (row, col) of parts; conj = conjugate(parts)
-    return (parts[row - 1] - col) + (conj[col - 1] - row) + 1
+def _hooks(parts: Partition) -> list[list[int]]:
+    """Hook lengths of the cells, row by row: cell (i, j), from 0, has
+    arm parts[i] - j - 1 and leg conj[j] - i - 1."""
+    conj = conjugate(parts)
+    return [[p - j + conj[j] - i - 1 for j in range(p)] for i, p in enumerate(parts)]
 
 
 def is_core(parts: Sequence[int], k: int) -> bool:
@@ -89,13 +93,7 @@ def is_core(parts: Sequence[int], k: int) -> bool:
     >>> is_core((3,), 2)
     False
     """
-    parts = as_partition(parts)
-    conj = conjugate(parts)
-    return all(
-        hook_length(parts, conj, i, j) != k + 1
-        for i in range(1, len(parts) + 1)
-        for j in range(1, parts[i - 1] + 1)
-    )
+    return not any(k + 1 in row for row in _hooks(as_partition(parts)))
 
 
 def s_action(parts: Partition, i: int, k: int) -> Partition:
@@ -145,11 +143,6 @@ def apply_letters(
         if parts is None:
             return None
     return parts
-
-
-def apply_word(parts: Partition, word: Sequence[int], k: int) -> Partition:
-    """Act on a core by a word of s_i, rightmost letter first."""
-    return apply_letters(parts, [("s", i) for i in word], k)
 
 
 def apply_word_nil(
@@ -207,14 +200,10 @@ def core_to_bounded(parts: Sequence[int], k: int) -> Partition:
     """The k-bounded partition corresponding to a (k+1)-core: row i keeps
     its cells of hook length at most k."""
     parts = as_partition(parts)
-    if not is_core(parts, k):
+    hooks = _hooks(parts)
+    if any(k + 1 in row for row in hooks):
         raise ValueError(f"{parts} is not a {k + 1}-core")
-    conj = conjugate(parts)
-    bounded = tuple(
-        sum(1 for j in range(1, parts[i - 1] + 1) if hook_length(parts, conj, i, j) <= k)
-        for i in range(1, len(parts) + 1)
-    )
-    return as_partition(bounded)
+    return as_partition(sum(1 for h in row if h <= k) for row in hooks)
 
 
 def partitions_of(n: int, max_part: Optional[int] = None) -> Iterator[Partition]:

@@ -263,6 +263,19 @@ def test_input_ceilings(capsys, argv, message):
     assert err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["kschur", "--k", "3", "--no-cache", "--partition"], ["core", "--k", "3", "to-bounded"]],
+    ids=["kschur", "to-bounded"],
+)
+def test_trailing_zeros_are_stripped_at_once(capsys, argv):
+    # zeros add nothing to a size ceiling, so 60,000 of them pass every one
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "1" + ",0" * 60_000)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (0, *run_cli(capsys, *argv, "1")[1:])
+
+
 def test_input_ceilings_admit_their_edge(capsys):
     ones = ",".join(["1"] * SIZE_CEILING)
     code, out, _ = run_cli(capsys, "kschur", "--k", "1", "--partition", ones, "--no-cache")
@@ -344,6 +357,10 @@ def test_core_command_argument_errors(capsys):
     code, out, err = run_cli(capsys, "core", "--k", "4", "act", "u9u0u0", "6,4,3,1")
     assert (code, out) == (2, "")
     assert "generator index 9" in err
+    # an index past int()'s digit limit is a usage error, not a traceback
+    code, out, err = run_cli(capsys, "core", "--k", "3", "act", "u" + "1" * 5000, "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
 
 
 @pytest.mark.parametrize(

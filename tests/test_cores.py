@@ -6,7 +6,6 @@ import pytest
 from kschur.affine import AffinePermutation
 from kschur.cores import (
     apply_letters,
-    apply_word,
     apply_word_nil,
     as_partition,
     bounded_to_core,
@@ -78,11 +77,40 @@ def corner_s_action(parts, i, k):
     return result
 
 
+def s_letters(word):
+    return [("s", i) for i in word]
+
+
+def hook_length(parts, conj, row, col):
+    """Reference hook of the 1-indexed cell (row, col); conj = conjugate(parts)."""
+    return (parts[row - 1] - col) + (conj[col - 1] - row) + 1
+
+
+def cell_hooks(parts):
+    conj = conjugate(parts)
+    return [
+        [hook_length(parts, conj, i, j) for j in range(1, parts[i - 1] + 1)]
+        for i in range(1, len(parts) + 1)
+    ]
+
+
+def cell_is_core(parts, k):
+    """Reference is_core: no cell has hook length exactly k+1."""
+    return all(h != k + 1 for row in cell_hooks(parts) for h in row)
+
+
+def cell_core_to_bounded(parts, k):
+    """Reference core_to_bounded: row i keeps its cells of hook at most k."""
+    if not cell_is_core(parts, k):
+        raise ValueError(f"{parts} is not a {k + 1}-core")
+    return as_partition(sum(1 for h in row if h <= k) for row in cell_hooks(parts))
+
+
 def outcome(fn, *args):
     try:
         return "value", fn(*args)
-    except IdentityError as exc:
-        return "raise", str(exc)
+    except (IdentityError, ValueError) as exc:
+        return "raise", type(exc).__name__, str(exc)
 
 
 def test_as_partition():
@@ -121,6 +149,21 @@ def test_is_core_matches_abacus_oracle():
                 assert is_core(parts, k) == beta_set_is_core(parts, k + 1), (parts, k)
 
 
+def test_hook_table_matches_cell_reference_exhaustive():
+    # every partition, core or not, so both the value and the raise are compared
+    cores_seen = 0
+    for n in range(13):
+        for parts in partitions_of(n):
+            for k in range(1, 6):
+                expected = cell_is_core(parts, k)
+                assert is_core(parts, k) == expected, (parts, k)
+                cores_seen += expected
+                assert outcome(core_to_bounded, parts, k) == outcome(
+                    cell_core_to_bounded, parts, k
+                ), (parts, k)
+    assert cores_seen == 225
+
+
 def test_corners():
     assert addable_corners(()) == [(1, 1)]
     assert addable_corners((3, 1)) == [(1, 4), (2, 2), (3, 1)]
@@ -148,7 +191,7 @@ def test_s_action_on_empty():
 
 def test_s_action_word_chain_k2():
     # letters applied rightmost first
-    assert apply_word((), (2, 0, 1, 2, 1, 0), 2) == (4, 2, 2, 1, 1)
+    assert apply_letters((), s_letters((2, 0, 1, 2, 1, 0)), 2) == (4, 2, 2, 1, 1)
 
 
 def test_s_action_involution_random():
@@ -156,7 +199,7 @@ def test_s_action_involution_random():
     for _ in range(150):
         k = rng.randint(1, 5)
         word = [rng.randrange(k + 1) for _ in range(rng.randrange(10))]
-        core = apply_word((), word, k)
+        core = apply_letters((), s_letters(word), k)
         i = rng.randrange(k + 1)
         assert s_action(s_action(core, i, k), i, k) == core
 
@@ -174,7 +217,7 @@ def test_u_and_s_agree_when_nonnull():
     for _ in range(150):
         k = rng.randint(1, 5)
         word = [rng.randrange(k + 1) for _ in range(rng.randrange(10))]
-        core = apply_word((), word, k)
+        core = apply_letters((), s_letters(word), k)
         for i in range(k + 1):
             res = u_action(core, i, k)
             if res is not None:
@@ -223,7 +266,7 @@ def test_w_of_partition_length_matches_bfs():
     lam = (2, 1, 1, 1, 1)
     w = w_of_partition(lam, 2)
     assert w.length() == 6 == sum(lam)
-    assert apply_word((), w.reduced_word(), 2) == (4, 2, 2, 1, 1)
+    assert apply_letters((), s_letters(w.reduced_word()), 2) == (4, 2, 2, 1, 1)
     oracle_word = bfs_minimal_word((4, 2, 2, 1, 1), 2, 6)
     assert len(oracle_word) == 6
 
@@ -251,7 +294,8 @@ def test_bijection_roundtrip_exhaustive():
                 assert is_core(core, k)
                 assert core_to_bounded(core, k) == lam
                 # the group-action route agrees with the hook-count inverse
-                assert apply_word((), w_of_partition(lam, k).reduced_word(), k) == core
+                word = w_of_partition(lam, k).reduced_word()
+                assert apply_letters((), s_letters(word), k) == core
                 assert w_of_partition(lam, k).length() == n
 
 
@@ -285,7 +329,7 @@ def test_core_never_has_addable_and_removable_of_same_residue():
     for _ in range(200):
         k = rng.randint(1, 5)
         word = [rng.randrange(k + 1) for _ in range(rng.randrange(12))]
-        core = apply_word((), word, k)
+        core = apply_letters((), s_letters(word), k)
         for i in range(k + 1):
             add = [c for c in addable_corners(core) if content(*c, k) == i]
             rem = [c for c in removable_corners(core) if content(*c, k) == i]
