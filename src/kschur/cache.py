@@ -45,7 +45,7 @@ class ExpansionCache:
             certify(k, lam, {t.window: t.coeff for t in doc.terms})
         except (FileNotFoundError, NotADirectoryError):
             return None
-        except (OSError, KeyError, TypeError, ValueError, IdentityError) as exc:
+        except (OSError, KeyError, TypeError, ValueError, RecursionError, IdentityError) as exc:
             print(f"warning: ignoring corrupt cache entry {path}: {exc}", file=sys.stderr)
             return None
         return doc

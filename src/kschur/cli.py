@@ -11,7 +11,7 @@ import json
 import os
 import re
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import cores
 from .cache import ExpansionCache
@@ -69,7 +69,7 @@ def parse_partition(text: str) -> tuple[int, ...]:
     try:
         parts = tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise UsageError(f"cannot parse partition {text!r}; use comma-separated parts")
+        raise UsageError(f"cannot parse partition {cores.clip(text)}; use comma-separated parts")
     try:
         return cores.as_partition(parts)
     except ValueError as exc:
@@ -79,7 +79,7 @@ def parse_partition(text: str) -> tuple[int, ...]:
 def parse_bounded(text: str, k: int) -> tuple[int, ...]:
     parts = parse_partition(text)
     if not cores.is_k_bounded(parts, k):
-        raise UsageError(f"partition {parts} is not {k}-bounded")
+        raise UsageError(f"partition {cores.clip(parts)} is not {k}-bounded")
     if sum(parts) > SIZE_CEILING:
         raise UsageError(f"partition size must be at most {SIZE_CEILING}, got {sum(parts)}")
     return parts
@@ -99,32 +99,20 @@ def check_k(k: int, ceiling: int) -> None:
         raise UsageError(f"k must be at most {ceiling}, got {k}")
 
 
-def format_partition(parts: Sequence[int]) -> str:
-    return ",".join(map(str, parts))
-
-
 def _emit_document(doc: ExpansionDocument, fmt: str) -> None:
     print(doc.to_json() if fmt == "json" else doc.to_text())
-
-
-def kschur_document(
-    k: int, lam: tuple[int, ...], cache: Optional[ExpansionCache]
-) -> ExpansionDocument:
-    """The expansion document of the k-Schur function of lam: a cache hit
-    as read, otherwise computed and written to the cache, if there is one."""
-    doc = cache.get(k, lam) if cache is not None else None
-    if doc is None:
-        doc = ExpansionDocument.from_element(lam, kschur(k, lam))
-        if cache is not None:
-            cache.put(doc)
-    return doc
 
 
 def cmd_kschur(args: argparse.Namespace) -> int:
     check_k(args.k, KMAX_CEILING)
     lam = parse_bounded(args.partition, args.k)
     cache = None if args.no_cache else ExpansionCache()
-    _emit_document(kschur_document(args.k, lam, cache), args.format)
+    doc = cache.get(args.k, lam) if cache is not None else None
+    if doc is None:
+        doc = ExpansionDocument.from_element(lam, kschur(args.k, lam))
+        if cache is not None:
+            cache.put(doc)
+    _emit_document(doc, args.format)
     return 0
 
 
@@ -146,15 +134,14 @@ def cmd_rect(args: argparse.Namespace) -> int:
         _emit_document(ExpansionDocument.from_element(rect, element), args.format)
         return 0
     elements = {name: fn(rect) for name, fn in _FORMULAS.items()}
-    first = elements["x"]
-    same = {name: element == first for name, element in elements.items()}
-    # a formula whose element equals x's shares x's document
+    first = next(iter(elements.values()))
+    # a formula whose element equals the first one's shares its document
     shared = ExpansionDocument.from_element(rect, first)
     docs = {
-        name: shared if same[name] else ExpansionDocument.from_element(rect, element)
+        name: shared if element == first else ExpansionDocument.from_element(rect, element)
         for name, element in elements.items()
     }
-    equal = all(same.values())
+    equal = all(doc is shared for doc in docs.values())
     if args.format == "json":
         payload = {
             "k": args.k,
@@ -165,31 +152,33 @@ def cmd_rect(args: argparse.Namespace) -> int:
         }
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
-        for name in "xyzw":
+        for name, doc in docs.items():
             print(f"formula {name}:")
-            print(docs[name].to_text())
+            print(doc.to_text())
         print(f"equal: {str(equal).lower()}")
     return 0
+
+
+def _rectangles(kmax: int) -> Iterable[Rectangle]:
+    return (rect for k in range(1, kmax + 1) for rect in all_rectangles(k))
+
+
+# the sweeps of each suite for a kmax, in the order `--suite all` runs them
+_SUITES: dict[str, Callable[[int], Iterable[Report]]] = {
+    "equiv": lambda kmax: [verify_equivalences(kmax)],
+    "main": lambda kmax: map(verify_main, _rectangles(kmax)),
+    "commute": lambda kmax: map(verify_commutation, _rectangles(kmax)),
+    "pieri": lambda kmax: (verify_pieri(k, max_size=3) for k in range(1, kmax + 1)),
+}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     kmax = args.kmax
     if not 1 <= kmax <= KMAX_CEILING:
         raise UsageError(f"kmax must be in 1..{KMAX_CEILING}, got {kmax}")
-    report = Report(())
-    if args.suite in ("equiv", "all"):
-        report = report.merged(verify_equivalences(kmax))
-    if args.suite in ("main", "all"):
-        for k in range(1, kmax + 1):
-            for rect in all_rectangles(k):
-                report = report.merged(verify_main(rect))
-    if args.suite in ("commute", "all"):
-        for k in range(1, kmax + 1):
-            for rect in all_rectangles(k):
-                report = report.merged(verify_commutation(rect))
-    if args.suite in ("pieri", "all"):
-        for k in range(1, kmax + 1):
-            report = report.merged(verify_pieri(k, max_size=3))
+    names = _SUITES if args.suite == "all" else [args.suite]
+    sweeps = (sweep for name in names for sweep in _SUITES[name](kmax))
+    report = Report(tuple(check for sweep in sweeps for check in sweep.checks))
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0 if report.passed else 1
 
@@ -204,7 +193,7 @@ def parse_generator_chain(text: str) -> list[tuple[str, int]]:
     while pos < len(text):
         match = _LETTERS.match(text, pos)
         if match is None:
-            raise UsageError(f"cannot parse generators {text!r} at position {pos}")
+            raise UsageError(f"cannot parse generators {cores.clip(text)} at position {pos}")
         if match.group(1):
             try:
                 out.append((match.group(1), int(match.group(2))))
@@ -222,10 +211,8 @@ def cmd_core(args: argparse.Namespace) -> int:
     def emit(parts: Optional[tuple[int, ...]]) -> None:
         if args.format == "json":
             print(json.dumps({"parts": None if parts is None else list(parts)}))
-        elif parts is None:
-            print("0")
         else:
-            print(format_partition(parts))
+            print("0" if parts is None else ",".join(map(str, parts)))
 
     if args.action == "act":
         chain = parse_generator_chain(args.args[0])
@@ -280,37 +267,34 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options several subcommands share, each declared once
+    with_k = argparse.ArgumentParser(add_help=False)
+    with_k.add_argument("--k", type=int, required=True)
+    with_format = argparse.ArgumentParser(add_help=False)
+    with_format.add_argument("--format", choices=("text", "json"), default="text")
+    both = [with_k, with_format]
 
-    p = sub.add_parser("kschur", help="expand a k-Schur function")
-    p.add_argument("--k", type=int, required=True)
+    p = sub.add_parser("kschur", parents=both, help="expand a k-Schur function")
     p.add_argument("--partition", required=True, help="comma-separated parts; '' for empty")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--no-cache", action="store_true", help="skip the persisted cache")
     p.set_defaults(func=cmd_kschur)
 
-    p = sub.add_parser("rect", help="closed formulas for a maximal rectangle")
-    p.add_argument("--k", type=int, required=True)
+    p = sub.add_parser("rect", parents=both, help="closed formulas for a maximal rectangle")
     p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--formula", choices=("x", "y", "z", "w", "all"), default="all")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--formula", choices=(*_FORMULAS, "all"), default="all")
     p.set_defaults(func=cmd_rect)
 
     p = sub.add_parser("verify", help="run verification sweeps")
     p.add_argument("--kmax", type=int, required=True)
-    p.add_argument(
-        "--suite", choices=("equiv", "main", "commute", "pieri", "all"), default="all"
-    )
+    p.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("core", help="core and bounded partition operations")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p = sub.add_parser("core", parents=both, help="core and bounded partition operations")
     p.add_argument("action", choices=tuple(_CORE_ARG_COUNT))
     p.add_argument("args", nargs="*")
     p.set_defaults(func=cmd_core)
 
-    p = sub.add_parser("lr", help="a k-Littlewood-Richardson coefficient")
-    p.add_argument("--k", type=int, required=True)
+    p = sub.add_parser("lr", parents=[with_k], help="a k-Littlewood-Richardson coefficient")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
     p.add_argument("--nu", required=True)

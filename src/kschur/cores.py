@@ -17,6 +17,13 @@ from .reports import IdentityError
 Partition = tuple[int, ...]
 
 
+def clip(value: object) -> str:
+    """repr(value), cut after 200 characters with "…", so that an error
+    message that echoes a huge input stays short."""
+    text = repr(value)
+    return text if len(text) <= 200 else text[:200] + "…"
+
+
 def as_partition(seq: Iterable[int]) -> Partition:
     """Validate and normalize a partition, dropping trailing zeros."""
     parts = tuple(seq)
@@ -25,9 +32,9 @@ def as_partition(seq: Iterable[int]) -> Partition:
         end -= 1
     parts = parts[:end]
     if any(p <= 0 for p in parts):
-        raise ValueError(f"partition parts must be positive: {parts}")
+        raise ValueError(f"partition parts must be positive: {clip(parts)}")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise ValueError(f"partition parts must weakly decrease: {parts}")
+        raise ValueError(f"partition parts must weakly decrease: {clip(parts)}")
     return parts
 
 
@@ -39,7 +46,7 @@ def as_bounded(parts: Iterable[int], k: int) -> Partition:
     """as_partition, for a partition whose parts are at most k."""
     parts = as_partition(parts)
     if not is_k_bounded(parts, k):
-        raise ValueError(f"partition {parts} has a part exceeding {k}")
+        raise ValueError(f"partition {clip(parts)} has a part exceeding {k}")
     return parts
 
 
@@ -104,7 +111,10 @@ def s_action(parts: Partition, i: int, k: int) -> Partition:
     core.  An involution.  Row r (from 0) of length p has an addable
     cell of content p - r when r = 0 or the row above is longer, and a
     removable cell of content p - r - 1 when the row below is shorter.
+    An index i outside 0..k raises ValueError.
     """
+    if not 0 <= i <= k:
+        raise ValueError(f"generator index must be in 0..{k}, got {i}")
     rows = list(parts) + [0]
     add = [
         r for r, p in enumerate(rows) if (r == 0 or rows[r - 1] > p) and (p - r) % (k + 1) == i

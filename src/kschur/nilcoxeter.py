@@ -225,8 +225,6 @@ def h(k: int, i: int) -> AlgebraElement:
     >>> len(h(4, 2))
     10
     """
-    if not 0 <= i <= k:
-        raise ValueError(f"h index must be in 0..{k}, got {i}")
     e = AffinePermutation.identity(k)
     return distinct_sum(k, f"h_{i} at k={k}", ((word, e.times_reduced(word)) for word in h_words(k, i)))
 
@@ -234,6 +232,8 @@ def h(k: int, i: int) -> AlgebraElement:
 def h_words(k: int, i: int) -> list[tuple[int, ...]]:
     """The binomial(k+1, i) cyclically decreasing words of h_i, one for
     each i-subset of the generator indices."""
+    if not 0 <= i <= k:
+        raise ValueError(f"h index must be in 0..{k}, got {i}")
     return [cyclically_decreasing_word(k, subset) for subset in combinations(range(k + 1), i)]
 
 

@@ -145,6 +145,14 @@ def test_rect_command_text(capsys):
     assert "equal: true" in out
 
 
+def test_rect_command_text_prints_the_formulas_in_table_order(capsys):
+    code, out, _ = run_cli(capsys, "rect", "--k", "4", "--rows", "3")
+    assert code == 0
+    heads = [line for line in out.splitlines() if line.startswith(("formula ", "equal: "))]
+    assert heads == ["formula x:", "formula y:", "formula z:", "formula w:", "equal: true"]
+    assert out.splitlines()[-1] == "equal: true"
+
+
 def test_rect_command_rows_out_of_range(capsys):
     code, _, err = run_cli(capsys, "rect", "--k", "4", "--rows", "5")
     assert code == 2
@@ -215,6 +223,19 @@ def test_verify_command_equiv_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--kmax", "4", "--suite", "equiv")
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+def test_verify_each_suite_is_its_slice_of_all(capsys):
+    def names(suite):
+        code, out, _ = run_cli(capsys, "verify", "--kmax", "3", "--suite", suite)
+        assert code == 0
+        return [c["name"] for c in json.loads(out)["checks"]]
+
+    assert list(cli._SUITES) == ["equiv", "main", "commute", "pieri"]
+    every = names("all")
+    alone = [names(suite) for suite in cli._SUITES]
+    assert all(alone)
+    assert sum(alone, []) == every
 
 
 def test_verify_command_bad_kmax(capsys):
@@ -294,6 +315,47 @@ def test_input_ceilings_admit_their_edge(capsys):
     k = str(WORD_K_CEILING)
     code, out, _ = run_cli(capsys, "core", "--k", k, "--format", "json", "word", ones)
     assert code == 0 and len(json.loads(out)["window"]) == WORD_K_CEILING + 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kschur", "--k", "3", "--no-cache", "--partition", "1,2" + ",1" * 60_000],
+        ["kschur", "--k", "1", "--no-cache", "--partition", ",".join(["2"] * 60_000)],
+        ["core", "--k", "3", "act", "u1" + "x" * 100_000, ""],
+        ["kschur", "--k", "3", "--no-cache", "--partition", "1," + "9" * 100_000],
+    ],
+    ids=["undecreasing", "unbounded", "chain", "unparsable"],
+)
+def test_error_messages_echo_a_bounded_input(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert line.startswith("error:")
+    assert len(err.encode()) < 1024
+
+
+def test_error_messages_echo_a_short_input_whole(capsys):
+    code, _, err = run_cli(capsys, "kschur", "--k", "3", "--no-cache", "--partition", "1,2")
+    assert (code, err) == (2, "error: partition parts must weakly decrease: (1, 2)\n")
+
+
+@pytest.mark.parametrize(
+    "command, shared",
+    [
+        ("kschur", ("--k", "--format")),
+        ("rect", ("--k", "--format")),
+        ("verify", ()),
+        ("core", ("--k", "--format")),
+        ("lr", ("--k",)),
+    ],
+)
+def test_every_subcommand_help_lists_its_shared_options(capsys, command, shared):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    options = set(capsys.readouterr().out.replace("[", " ").split())
+    assert {"--k", "--format"} & options == set(shared)
 
 
 def test_core_command_act(capsys):
@@ -525,6 +587,20 @@ def test_cache_corrupt_file_recomputes(tmp_path, capsys, monkeypatch):
         assert out.strip() == kschur_json(2, (1,))
         # the recomputed document replaced the corrupt file
         assert path.read_text() == out.strip()
+
+
+def test_cache_deeply_nested_file_recomputes(tmp_path, capsys, monkeypatch):
+    """A file nested too deep for the JSON decoder is corrupt like any
+    other unparsable file, not a RecursionError."""
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    path = ExpansionCache(tmp_path).file(3, (2, 1))
+    path.parent.mkdir(parents=True)
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    argv = ["kschur", "--k", "3", "--partition", "2,1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (0, run_cli(capsys, *argv, "--no-cache")[1])
+    (line,) = err.splitlines()
+    assert line.startswith("warning: ignoring corrupt cache entry")
 
 
 def test_cache_corrupt_entry_recomputes(tmp_path, capsys, monkeypatch):

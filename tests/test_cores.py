@@ -57,6 +57,8 @@ def removable_corners(parts):
 def corner_s_action(parts, i, k):
     """Reference s_i on cells: add the addable corners of residue i, else
     remove the removable ones, with the checks and messages of s_action."""
+    if not 0 <= i <= k:
+        raise ValueError(f"generator index must be in 0..{k}, got {i}")
     add = [c for c in addable_corners(parts) if content(*c, k) == i]
     rem = [c for c in removable_corners(parts) if content(*c, k) == i]
     if add and rem:
@@ -172,7 +174,8 @@ def test_corners():
 
 
 def test_s_action_matches_corner_reference_exhaustive():
-    # every partition, core or not, so both the value and the raise are compared
+    # every partition, core or not, and every index up to k + 1, so both
+    # the value and the raise are compared
     raised = 0
     for n in range(13):
         for parts in partitions_of(n):
@@ -181,7 +184,7 @@ def test_s_action_matches_corner_reference_exhaustive():
                     expected = outcome(corner_s_action, parts, i, k)
                     assert outcome(s_action, parts, i, k) == expected, (parts, i, k)
                     raised += expected[0] == "raise"
-    assert raised == 3560
+    assert raised == 3560 + 5 * 272  # i = k + 1 raises for each of the 272 partitions
 
 
 def test_s_action_on_empty():
@@ -210,6 +213,22 @@ def test_u_action_example_k4():
     assert u_action(nu, 3, 4) == (6, 5, 3, 2)
     for i in (0, 2, 4):
         assert u_action(nu, i, 4) is None
+
+
+@pytest.mark.parametrize("i", [-1, 5, 9])
+def test_generator_index_outside_0_to_k_raises(i):
+    # at k = 4 an index past k or below 0 names no generator; every core
+    # action goes through s_action, which refuses it
+    nu = (6, 4, 3, 1)
+    message = f"generator index must be in 0..4, got {i}"
+    for act in (
+        lambda: s_action(nu, i, 4),
+        lambda: u_action(nu, i, 4),
+        lambda: apply_letters(nu, [("s", i)], 4),
+        lambda: apply_word_nil(nu, (i,), 4),
+    ):
+        with pytest.raises(ValueError, match=message):
+            act()
 
 
 def test_u_and_s_agree_when_nonnull():

@@ -282,6 +282,11 @@ def test_act_on_core_word_form():
     assert act_on_core((0,), (6, 4, 3, 1), k=4) == {}
 
 
+def test_act_on_core_rejects_an_index_past_k():
+    with pytest.raises(ValueError, match="generator index must be in 0..4, got 9"):
+        act_on_core((9,), (6, 4, 3, 1), k=4)
+
+
 def test_kschur_base_cases():
     assert kschur(3, ()) == AlgebraElement.unit(3)
     for k in range(1, 5):
@@ -469,6 +474,16 @@ def test_pieri_partitions_match_product():
                     for mu in pieri_partitions(k, lam, i):
                         rhs = rhs + kschur(k, mu)
                     assert lhs == rhs, (k, lam, i)
+
+
+@pytest.mark.parametrize("i", [-1, 4, 5])
+def test_h_index_outside_0_to_k_raises(i):
+    # h, the solve and pieri_partitions share h_words and its range check
+    message = rf"h index must be in 0\.\.3, got {i}"
+    with pytest.raises(ValueError, match=message):
+        pieri_partitions(3, (1,), i)
+    with pytest.raises(ValueError, match=message):
+        h(3, i)
 
 
 def test_verify_pieri_report():
