@@ -14,7 +14,7 @@ j = i mod (k+1), to j-1 when j = i+1 mod (k+1), and fixes j otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,8 +79,10 @@ class AffinePermutation:
         return self._derived(tuple(win))
 
     def left_mult(self, i: int) -> "AffinePermutation":
-        """s_i * w, as (w^-1 * s_i)^-1."""
-        return self.inverse().right_mult(i).inverse()
+        """s_i * w."""
+        win = list(self.window)
+        fold_reduced_left(win, (i,))
+        return self._derived(tuple(win))
 
     def has_right_descent(self, i: int) -> bool:
         """True iff w(i) > w(i+1), i.e. length(w * s_i) = length(w) - 1."""
@@ -96,7 +98,7 @@ class AffinePermutation:
         return [i for i in range(self.k + 1) if self.has_right_descent(i)]
 
     def has_left_descent(self, i: int) -> bool:
-        return self.inverse().has_right_descent(i)
+        return not fold_reduced_left(list(self.window), (i,))
 
     def length(self) -> int:
         """Coxeter length, as the periodic inversion count of the window.
@@ -134,12 +136,7 @@ class AffinePermutation:
             letters.append(i)
 
     def inverse(self) -> "AffinePermutation":
-        n = self.k + 1
-        win = [0] * n
-        for t, a in enumerate(self.window, start=1):
-            q, b = divmod(a - 1, n)
-            win[b] = t - q * n
-        return self._derived(tuple(win))
+        return self._derived(tuple(inverted(self.window)))
 
     def __mul__(self, other: "AffinePermutation") -> "AffinePermutation":
         if not isinstance(other, AffinePermutation):
@@ -185,6 +182,27 @@ def fold_reduced(win: list[int], word: Iterable[int]) -> bool:
         if a > b:
             return False
     return True
+
+
+def fold_reduced_left(win: list[int], word: Sequence[int]) -> bool:
+    """`fold_reduced` on the left: make the window list of w that of
+    s_{i_1} * ... * s_{i_m} * w (u_{i_1} ... u_{i_m} u(w)) in place, as the
+    inverse of w^-1 * s_{i_m} * ... * s_{i_1}; the same verdict, read from the
+    rightmost letter.  A letter outside 0..k raises, leaving the list as it was."""
+    inv = inverted(win)
+    up = fold_reduced(inv, reversed(word))
+    win[:] = inverted(inv)
+    return up
+
+
+def inverted(win: Sequence[int]) -> list[int]:
+    """The window of w^-1, from the window of w."""
+    n = len(win)
+    inv = [0] * n
+    for t, a in enumerate(win, start=1):
+        q, b = divmod(a - 1, n)
+        inv[b] = t - q * n
+    return inv
 
 
 def rotate_word(word: Iterable[int], m: int, k: int) -> tuple[int, ...]:

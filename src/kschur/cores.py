@@ -147,7 +147,11 @@ def apply_letters(
     parts: Partition, letters: Sequence[tuple[str, int]], k: int
 ) -> Optional[Partition]:
     """Act on a core by letters ("s", i) for s_i and ("u", i) for u_i,
-    rightmost letter first; None once a u_i finds no addable corner."""
+    rightmost letter first; None once a u_i finds no addable corner.  Every
+    index is checked first, also those after a u_i that kills the core."""
+    for _, i in letters:
+        if not 0 <= i <= k:
+            raise ValueError(f"generator index must be in 0..{k}, got {i}")
     for kind, i in reversed(letters):
         parts = u_action(parts, i, k) if kind == "u" else s_action(parts, i, k)
         if parts is None:

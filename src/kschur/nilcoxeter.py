@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import functools
 from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .affine import AffinePermutation, fold_reduced
+from .affine import AffinePermutation, fold_reduced, fold_reduced_left
 from .cores import (
     Partition,
     apply_word_nil,
@@ -42,11 +42,16 @@ def basis_times_generator(
 ) -> Optional[AffinePermutation]:
     """u(w) * u_i (or u_i * u(w) for side="left"): the length-increasing
     product, or None when the length would drop (u_i^2 = 0)."""
+    win = list(w.window)
+    return w._derived(tuple(win)) if _side_fold(side)(win, (i,)) else None
+
+
+def _side_fold(side: str) -> Callable:
+    """The window fold that multiplies by generators on the given side."""
     if side == "right":
-        return w.times_reduced((i,))
+        return fold_reduced
     if side == "left":
-        v = w.inverse().times_reduced((i,))
-        return None if v is None else v.inverse()
+        return fold_reduced_left
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
@@ -146,14 +151,12 @@ class AlgebraElement:
             return NotImplemented
         self._check_rank(other)
         right = [(w.reduced_word(), c) for w, c in other.items()]
-        return AlgebraElement._of_windows(self.k, _fold(self._terms, right))
+        return AlgebraElement._of_windows(self.k, _fold(fold_reduced, self._terms, right))
 
     def times_generator(self, i: int, side: str = "right") -> "AlgebraElement":
         """Product with a single generator u_i on the given side: distinct
         terms stay distinct, as w -> w s_i and w -> s_i w are bijections."""
-        e = AffinePermutation.identity(self.k)
-        products = [(basis_times_generator(e._derived(w), i, side), c) for w, c in self._terms.items()]
-        return AlgebraElement._of_windows(self.k, {v.window: c for v, c in products if v is not None})
+        return AlgebraElement._of_windows(self.k, _fold(_side_fold(side), self._terms, [((i,), 1)]))
 
     def _check_rank(self, other: "AlgebraElement") -> None:
         if self.k != other.k:
@@ -172,16 +175,16 @@ class AlgebraElement:
         return " ".join(bits)
 
 
-def _fold(terms: Mapping[tuple[int, ...], int], right: Sequence[tuple]) -> dict:
-    """The sum of c*d u(w) u(word) over the window-keyed terms w: c and the
-    pairs (word, d), word reduced: each word folds on the right of each w
-    through `fold_reduced`, which drops a product whose length does not add
-    up."""
+def _fold(fold: Callable, terms: Mapping[tuple[int, ...], int], words: Sequence[tuple]) -> dict:
+    """The sum of c*d u(w) u(word) (u(word) u(w) when fold is
+    `fold_reduced_left`) over the window-keyed terms w: c and the pairs
+    (word, d), word reduced: each word folds onto each w, and the fold
+    drops a product whose length does not add up."""
     acc: dict[tuple[int, ...], int] = {}
     for w, c in terms.items():
-        for word, d in right:
+        for word, d in words:
             win = list(w)
-            if fold_reduced(win, word):
+            if fold(win, word):
                 v = tuple(win)
                 acc[v] = acc.get(v, 0) + c * d
     return acc
@@ -341,7 +344,7 @@ def _solve(k: int, lam: Partition) -> tuple[AlgebraElement, dict[Partition, int]
     else:
         i, rest = lam[0], lam[1:]
         element, rest_expansion = _solve(k, rest)
-        terms = _fold(element._terms, [(word, 1) for word in h_words(k, i)])
+        terms = _fold(fold_reduced, element._terms, [(word, 1) for word in h_words(k, i)])
         expansion = {union_partitions(mu, (i,)): c for mu, c in rest_expansion.items()}
         excess = _excess(k, lam, terms)
         if any(nu[0] <= i for nu in excess):

@@ -37,7 +37,6 @@ from .cores import (
     Partition,
     as_partition,
     bounded_to_core,
-    conjugate,
     contains,
     k_bounded_partitions,
     partitions_in_box,
@@ -174,15 +173,15 @@ def translation_weight(rect: Rectangle, nu: Sequence[int]) -> tuple[int, ...]:
 
 def transpose_weight(rect: Rectangle, gamma: Sequence[int]) -> tuple[int, ...]:
     """The direction for the transposed rectangle whose pseudo-translation
-    is the index-reflected image of the pseudo-translation of gamma."""
+    is the index-reflected image of the pseudo-translation of gamma.  The
+    window of pseudo_translation(gamma) is j - (k+1) gamma_j + |gamma|, and
+    the reflection conjugates by j -> 1 - j: it reverses gamma and swaps
+    its zeros and ones."""
     gamma = tuple(gamma)
-    k, c = rect.k, rect.cols
+    c = rect.cols
     if sorted(gamma) != [0] * (rect.rows) + [1] * c:
         raise ValueError(f"direction must be 0/1 with {c} ones: {gamma}")
-    for nu in partitions_in_box(c, rect.rows):
-        if translation_weight(rect, nu) == gamma:
-            return translation_weight(rect.transpose(), conjugate(nu))
-    raise IdentityError(f"no partition maps to {gamma}")
+    return tuple(1 - x for x in reversed(gamma))
 
 
 def act_on_partition(rect: Rectangle, lam: Sequence[int]) -> Partition:

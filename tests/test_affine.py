@@ -3,7 +3,13 @@ from itertools import product
 
 import pytest
 
-from kschur.affine import AffinePermutation, fold_reduced, reflect_word, rotate_word
+from kschur.affine import (
+    AffinePermutation,
+    fold_reduced,
+    fold_reduced_left,
+    reflect_word,
+    rotate_word,
+)
 
 
 def random_element(rng, k, max_len=12):
@@ -82,6 +88,14 @@ def test_left_mult_matches_product_and_descents():
                 left = w.left_mult(i)
                 assert left == AffinePermutation.from_word(k, (i,)) * w
                 assert w.has_left_descent(i) == (left.length() < w.length())
+            # a whole word folds on the left exactly when the lengths add
+            word = [rng.randrange(k + 1) for _ in range(rng.randrange(6))]
+            target = AffinePermutation.from_word(k, word) * w
+            win = list(w.window)
+            up = fold_reduced_left(win, word)
+            assert up == (target.length() == w.length() + len(word)), (k, w.window, word)
+            if up:
+                assert tuple(win) == target.window, (k, w.window, word)
 
 
 def test_value_periodicity():
@@ -371,3 +385,7 @@ def test_fold_reduced_rejects_letters_out_of_range():
             for word in ((letter,), (0, letter), (1, 0, letter)):
                 with pytest.raises(ValueError, match="generator index"):
                     fold_reduced(list(range(1, k + 2)), word)
+                win = list(range(1, k + 2))
+                with pytest.raises(ValueError, match="generator index"):
+                    fold_reduced_left(win, word)
+                assert win == list(range(1, k + 2))

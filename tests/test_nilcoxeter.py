@@ -83,6 +83,15 @@ def test_left_generator_matches_product_and_length():
                     assert got == product, (k, w.window, i)
                 else:
                     assert got is None, (k, w.window, i)
+                assert AlgebraElement.basis(w).times_generator(i, "left") == (
+                    AlgebraElement.zero(k) if got is None else AlgebraElement.basis(got)
+                )
+            for letter in (-1, k + 1):
+                for side in ("left", "right"):
+                    with pytest.raises(ValueError, match="generator index"):
+                        basis_times_generator(w, letter, side)
+    with pytest.raises(ValueError, match="side must be"):
+        AlgebraElement.unit(4).times_generator(1, "middle")
 
 
 def test_zero_coefficients_dropped():
@@ -285,6 +294,9 @@ def test_act_on_core_word_form():
 def test_act_on_core_rejects_an_index_past_k():
     with pytest.raises(ValueError, match="generator index must be in 0..4, got 9"):
         act_on_core((9,), (6, 4, 3, 1), k=4)
+    # read rightmost first, u_0 kills the core before u_9 is reached
+    with pytest.raises(ValueError, match="generator index must be in 0..4, got 9"):
+        act_on_core((9, 0), (6, 4, 3, 1), k=4)
 
 
 def test_kschur_base_cases():

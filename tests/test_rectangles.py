@@ -5,7 +5,7 @@ import pytest
 from kschur import rectangles
 from kschur.affine import AffinePermutation
 from kschur.alcoves import act_linear, gamma_vectors, pseudo_translation
-from kschur.cores import bounded_to_core, k_bounded_partitions, partitions_in_box
+from kschur.cores import bounded_to_core, conjugate, k_bounded_partitions, partitions_in_box
 from kschur.nilcoxeter import AlgebraElement, act_on_core, kschur
 from kschur.rectangles import (
     Rectangle,
@@ -281,6 +281,18 @@ def test_transpose_weight_matches_index_reflection():
             for gamma in gamma_vectors(k, rect.cols):
                 reflected = pseudo_translation(gamma).reflect_indices()
                 assert reflected == pseudo_translation(transpose_weight(rect, gamma))
+
+
+def test_transpose_weight_conjugates_the_partition():
+    # the paper's relation on partitions: transposing the rectangle
+    # conjugates the contained partition
+    for k in range(1, 6):
+        for rect in all_rectangles(k):
+            for nu in partitions_in_box(rect.cols, rect.rows):
+                gamma = translation_weight(rect, nu)
+                assert transpose_weight(rect, gamma) == translation_weight(
+                    rect.transpose(), conjugate(nu)
+                ), (k, rect, nu)
 
 
 def test_transpose_weight_bijection():
