@@ -3,8 +3,11 @@
 Partitions are tuples of weakly decreasing positive integers without
 trailing zeros; () is the empty partition.  A (k+1)-core is a partition
 with no cell of hook length exactly k+1 (equivalently, no removable rim
-hook of length k+1).  The affine symmetric group acts on cores through
-the residues (col - row) mod (k+1) of the cells.
+hook of length k+1).  `is_core` reads this off the beta numbers of the
+rows, on an abacus with k+1 runners, in O(rows); only `core_to_bounded`
+builds the hook table.  The affine symmetric group acts on cores through
+the residues (col - row) mod (k+1) of the cells: every action validates
+its partition once and then steps letter by letter through `_s_step`.
 """
 
 from __future__ import annotations
@@ -89,8 +92,18 @@ def _hooks(parts: Partition) -> list[list[int]]:
     return [[p - j + conj[j] - i - 1 for j in range(p)] for i, p in enumerate(parts)]
 
 
+def _is_core(parts: Partition, k: int) -> bool:
+    """is_core on a validated partition.  Row r (from 0) of length p is the
+    bead p - r, and every integer at most -len(parts) is a bead too; a cell
+    of hook length k+1 is a bead b with no bead at b - (k+1)."""
+    beads = {p - r for r, p in enumerate(parts)}
+    floor = -len(parts)
+    return all(b - k - 1 <= floor or b - k - 1 in beads for b in beads)
+
+
 def is_core(parts: Sequence[int], k: int) -> bool:
-    """True iff no cell has hook length exactly k+1.
+    """True iff no cell has hook length exactly k+1, read off the beta
+    numbers of the rows in O(rows).
 
     For straight shapes this matches having no removable rim hook of
     length k+1.
@@ -100,21 +113,15 @@ def is_core(parts: Sequence[int], k: int) -> bool:
     >>> is_core((3,), 2)
     False
     """
-    return not any(k + 1 in row for row in _hooks(as_partition(parts)))
+    return _is_core(as_partition(parts), k)
 
 
-def s_action(parts: Partition, i: int, k: int) -> Partition:
-    """Action of s_i on a (k+1)-core.
-
-    Adds every addable cell of residue i if there is one, otherwise
-    removes every removable cell of residue i, otherwise fixes the
-    core.  An involution.  Row r (from 0) of length p has an addable
-    cell of content p - r when r = 0 or the row above is longer, and a
-    removable cell of content p - r - 1 when the row below is shorter.
-    An index i outside 0..k raises ValueError.
-    """
-    if not 0 <= i <= k:
-        raise ValueError(f"generator index must be in 0..{k}, got {i}")
+def _s_step(parts: Partition, i: int, k: int) -> Partition:
+    """s_i on a validated partition, for an index i in 0..k; every core
+    action goes through this step.  Row r (from 0) of length p has an
+    addable cell of content p - r when r = 0 or the row above is longer,
+    and a removable cell of content p - r - 1 when the row below is
+    shorter."""
     rows = list(parts) + [0]
     add = [
         r for r, p in enumerate(rows) if (r == 0 or rows[r - 1] > p) and (p - r) % (k + 1) == i
@@ -129,33 +136,48 @@ def s_action(parts: Partition, i: int, k: int) -> Partition:
         rows[r] += 1
     for r in rem:
         rows[r] -= 1
-    result = as_partition(rows)
-    if not is_core(result, k):
+    while rows and not rows[-1]:
+        rows.pop()
+    result = tuple(rows)
+    if not _is_core(result, k):
         raise IdentityError(f"s_{i} on {parts} gives {result}, not a {k + 1}-core")
     return result
 
 
-def u_action(parts: Partition, i: int, k: int) -> Optional[Partition]:
+def s_action(parts: Sequence[int], i: int, k: int) -> Partition:
+    """Action of s_i on a (k+1)-core.
+
+    Adds every addable cell of residue i if there is one, otherwise
+    removes every removable cell of residue i, otherwise fixes the
+    core.  An involution.  An index i outside 0..k, or parts that are
+    not a partition, raise ValueError.
+    """
+    return apply_letters(parts, [("s", i)], k)
+
+
+def u_action(parts: Sequence[int], i: int, k: int) -> Optional[Partition]:
     """Nil generator u_i on a (k+1)-core: add all addable corners of
     residue i, or None (the zero of the module) if there are none."""
-    result = s_action(parts, i, k)
-    # adding cells grows the first row that changes; removing shrinks it
-    return result if result > parts else None
+    return apply_letters(parts, [("u", i)], k)
 
 
 def apply_letters(
-    parts: Partition, letters: Sequence[tuple[str, int]], k: int
+    parts: Sequence[int], letters: Sequence[tuple[str, int]], k: int
 ) -> Optional[Partition]:
     """Act on a core by letters ("s", i) for s_i and ("u", i) for u_i,
     rightmost letter first; None once a u_i finds no addable corner.  Every
-    index is checked first, also those after a u_i that kills the core."""
+    index is checked first, also those after a u_i that kills the core, and
+    the parts are validated once, before any letter acts."""
     for _, i in letters:
         if not 0 <= i <= k:
             raise ValueError(f"generator index must be in 0..{k}, got {i}")
+    parts = as_partition(parts)
     for kind, i in reversed(letters):
-        parts = u_action(parts, i, k) if kind == "u" else s_action(parts, i, k)
-        if parts is None:
+        moved = _s_step(parts, i, k)
+        # adding cells grows the first row that changes; removing shrinks it
+        if kind == "u" and not moved > parts:
             return None
+        parts = moved
     return parts
 
 

@@ -113,6 +113,10 @@ class AlgebraElement:
         e = AffinePermutation.identity(self.k)
         return [(e._derived(w), self._terms[w]) for w in sorted(self._terms)]
 
+    def _words(self) -> list[tuple[tuple[int, ...], int]]:
+        """The (reduced word, coefficient) pairs of the terms, in items() order."""
+        return [(w.reduced_word(), c) for w, c in self.items()]
+
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -150,8 +154,7 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_rank(other)
-        right = [(w.reduced_word(), c) for w, c in other.items()]
-        return AlgebraElement._of_windows(self.k, _fold(fold_reduced, self._terms, right))
+        return AlgebraElement._of_windows(self.k, _fold(fold_reduced, self._terms, other._words()))
 
     def times_generator(self, i: int, side: str = "right") -> "AlgebraElement":
         """Product with a single generator u_i on the given side: distinct
@@ -278,12 +281,17 @@ def act_on_core(
     """
     core = as_partition(core)
     if isinstance(x, AlgebraElement):
-        pairs = [(w.reduced_word(), c) for w, c in x.items()]
-        k = x.k
-    else:
-        if k is None:
-            raise ValueError("k is required when acting by a word")
-        pairs = [(tuple(x), 1)]
+        return _act(x._words(), core, x.k)
+    if k is None:
+        raise ValueError("k is required when acting by a word")
+    return _act([(tuple(x), 1)], core, k)
+
+
+def _act(
+    pairs: Sequence[tuple[Sequence[int], int]], core: Partition, k: int
+) -> dict[Partition, int]:
+    """act_on_core on (reduced word, coefficient) pairs, so that a caller
+    acting on many cores reads the words of an element once."""
     out: dict[Partition, int] = {}
     for word, c in pairs:
         res = apply_word_nil(core, word, k)

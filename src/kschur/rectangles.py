@@ -46,7 +46,7 @@ from .cores import (
 )
 from .nilcoxeter import (
     AlgebraElement,
-    act_on_core,
+    _act,
     cyclically_decreasing_word,
     distinct_sum,
     kschur,
@@ -190,13 +190,17 @@ def act_on_partition(rect: Rectangle, lam: Sequence[int]) -> Partition:
     Exactly one term survives and the result is the core of the sorted
     union of the partition with the rectangle.
     """
-    return _act_on_partition(rect, by_readings(rect), lam)
+    return _act_on_partition(rect, by_readings(rect)._words(), lam)
 
 
-def _act_on_partition(rect: Rectangle, element: AlgebraElement, lam: Sequence[int]) -> Partition:
+def _act_on_partition(
+    rect: Rectangle, pairs: Sequence[tuple[Sequence[int], int]], lam: Sequence[int]
+) -> Partition:
+    """act_on_partition by the (reduced word, coefficient) pairs of the
+    rectangle element."""
     k = rect.k
     lam = as_partition(lam)
-    image = act_on_core(element, bounded_to_core(lam, k))
+    image = _act(pairs, bounded_to_core(lam, k), k)
     if len(image) != 1:
         raise IdentityError(f"{rect} on {lam}: {len(image)} terms survive, expected 1: {image}")
     (core, coeff), = image.items()
@@ -256,14 +260,14 @@ def verify_main(rect: Rectangle, action_size: int = 4) -> Report:
         }
 
     def action() -> tuple[bool, dict]:
-        element = by_readings(rect)
+        pairs = by_readings(rect)._words()
         failures = []
         count = 0
         for n in range(action_size + 1):
             for lam in k_bounded_partitions(n, k):
                 count += 1
                 try:
-                    _act_on_partition(rect, element, lam)
+                    _act_on_partition(rect, pairs, lam)
                 except IdentityError:
                     failures.append(list(lam))
         return not failures, {"partitions_checked": count, "failures": failures}

@@ -218,7 +218,7 @@ def test_u_action_example_k4():
 @pytest.mark.parametrize("i", [-1, 5, 9])
 def test_generator_index_outside_0_to_k_raises(i):
     # at k = 4 an index past k or below 0 names no generator; every core
-    # action goes through s_action, which refuses it
+    # action goes through apply_letters, which refuses it
     nu = (6, 4, 3, 1)
     message = f"generator index must be in 0..4, got {i}"
     for act in (
@@ -226,6 +226,23 @@ def test_generator_index_outside_0_to_k_raises(i):
         lambda: u_action(nu, i, 4),
         lambda: apply_letters(nu, [("s", i)], 4),
         lambda: apply_word_nil(nu, (i,), 4),
+    ):
+        with pytest.raises(ValueError, match=message):
+            act()
+
+
+@pytest.mark.parametrize(
+    "parts, message",
+    [((1, 3), "must weakly decrease"), ((2, -1), "must be positive")],
+)
+def test_core_actions_reject_a_non_partition(parts, message):
+    # s_0 moves no cell of either input at k = 2, so only the partition
+    # check can refuse them
+    for act in (
+        lambda: s_action(parts, 0, 2),
+        lambda: u_action(parts, 0, 2),
+        lambda: apply_letters(parts, [("s", 0)], 2),
+        lambda: apply_letters(parts, [("u", 0)], 2),
     ):
         with pytest.raises(ValueError, match=message):
             act()

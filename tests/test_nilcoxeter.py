@@ -537,17 +537,21 @@ def test_verify_pieri_is_independent_of_the_solve(monkeypatch):
 
 def test_solve_and_lr_coefficient_use_no_core_action(monkeypatch):
     # the core action is an oracle the algebra is checked against, so
-    # neither the solve nor lr_coefficient may call it
+    # neither the solve nor lr_coefficient may call it; every core action
+    # steps through cores._s_step
     expected = by_windows(Rectangle(4, cols=2, rows=3))
 
     def refuse(*args):
         raise RuntimeError("core action called")
 
-    monkeypatch.setattr(cores, "s_action", refuse)
+    monkeypatch.setattr(cores, "_s_step", refuse)
     nilcoxeter.clear_memo()
     assert kschur(4, (2, 2, 2)) == expected
     assert lr_coefficient(4, (2, 2, 2), (1,), (2, 2, 2, 1)) == 1
     nilcoxeter.clear_memo()
+    # the patched step does guard the core action
+    with pytest.raises(RuntimeError, match="core action called"):
+        pieri_partitions(4, (2, 2, 2), 1)
 
 
 def test_lr_coefficient_identity_cases():

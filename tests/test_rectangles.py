@@ -364,6 +364,19 @@ def test_verify_main_builds_each_rectangle_element_once_per_check(monkeypatch):
     assert calls == [rect, rect]
 
 
+def test_verify_main_reads_each_word_of_the_rectangle_once(monkeypatch):
+    # the action check reads the reduced words of the rectangle element
+    # once, not once per partition acted on
+    calls = []
+    real = AffinePermutation.reduced_word
+    monkeypatch.setattr(AffinePermutation, "reduced_word", lambda w: calls.append(w) or real(w))
+    rect = Rectangle(4, cols=2, rows=3)
+    report = verify_main(rect)
+    assert report.passed
+    assert report.checks[1].details["partitions_checked"] == 12
+    assert len(calls) == len(by_readings(rect)) == 10
+
+
 def test_verify_main_equals_kschur():
     for k in range(1, 6):
         for rect in all_rectangles(k):
