@@ -122,18 +122,23 @@ class AffinePermutation:
         win = list(self.window)
         n = len(win)
         letters = []
+        start = 1
         while True:
             # s_0 is a right descent iff w(0) > w(1), s_i iff w(i) > w(i+1)
             if win[n - 1] - n > win[0]:
                 i = 0
             else:
-                for i in range(1, n):
+                # no s_j with 0 < j < start is a descent: the last peel, s_i,
+                # was the smallest, and it moved only w(i), w(i+1), which no
+                # s_j with j < i - 1 compares (s_0 moves w(1): start over)
+                for i in range(start, n):
                     if win[i - 1] > win[i]:
                         break
                 else:
                     return tuple(reversed(letters))
             fold_reduced(win, (i,))
             letters.append(i)
+            start = i - 1 if i > 1 else 1
 
     def inverse(self) -> "AffinePermutation":
         return self._derived(tuple(inverted(self.window)))

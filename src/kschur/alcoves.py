@@ -150,24 +150,34 @@ def alcove_of(point: Sequence) -> AffinePermutation:
 
 def _walk(p: list[int], d: int) -> AffinePermutation:
     """The greedy walk of `alcove_of` on a point scaled by d, so that the
-    s_0 wall sits at d; reflects p in place."""
+    s_0 wall sits at d; reflects p in place.  Off the walls the word it
+    records is reduced, which the fold that builds the element checks."""
     n = len(p)
     letters: list[int] = []
+    start = 1
     while True:
         if p[0] - p[n - 1] > d:
             p[0], p[n - 1] = p[n - 1] + d, p[0] - d
             letters.append(0)
+            start = 1
             continue
-        for i in range(1, n):
+        # no wall j with 0 < j < start is violated: the last reflection, in
+        # wall i, was the smallest violated one and moved only p_i, p_(i+1),
+        # which no wall j < i - 1 compares (wall 0 moves p_1: start over)
+        for i in range(start, n):
             if p[i - 1] < p[i]:
                 p[i - 1], p[i] = p[i], p[i - 1]
                 letters.append(i)
+                start = i - 1 if i > 1 else 1
                 break
         else:
             break
     if any(p[i - 1] == p[i] for i in range(1, n)) or p[0] - p[n - 1] == d:
         raise ValueError("point on wall")
-    return AffinePermutation.from_word(n - 1, reversed(letters))
+    w = AffinePermutation.identity(n - 1).times_reduced(reversed(letters))
+    if w is None:
+        raise IdentityError(f"the walk's word of {len(letters)} letters is not reduced")
+    return w
 
 
 def pseudo_translation(gamma: Sequence[int]) -> AffinePermutation:

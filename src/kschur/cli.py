@@ -49,9 +49,10 @@ CORE_SIZE_CEILING = SIZE_CEILING * (SIZE_CEILING + 1) // 2
 # largest admitted core at k = 1 (the fastest growth), 128 letters take
 # about 0.25 s, 256 about 0.9 s and 400 about 3 s
 CHAIN_CEILING = 128
-# rect --k: the slowest row (all four formulas) takes 0.21 s at k = 10,
-# 0.37 s at k = 11 and 0.63 s at k = 12, and grows about 1.7 times per k;
-# the ceiling stays at 12, so that exit codes stay as they were
+# rect --k: the slowest row (all four formulas, JSON, best of three in one
+# process) takes about 0.07 s at k = 10, 0.13 s at k = 11 and 0.2-0.3 s at
+# k = 12, and grows about 1.7-2 times per k; the ceiling stays at 12, so
+# that exit codes stay as they were
 RECT_K_CEILING = 12
 # core word --k: w_lambda's window has k + 1 entries; the slowest admitted
 # partition tried takes 0.28 s and 28 MB at k = 10^5, 1.2 s and 131 MB at 10^6
@@ -143,20 +144,24 @@ def cmd_rect(args: argparse.Namespace) -> int:
     }
     equal = all(doc is shared for doc in docs.values())
     if args.format == "json":
-        payload = {
-            "k": args.k,
-            "rows": rect.rows,
-            "cols": rect.cols,
-            "equal": equal,
-            "formulas": {name: doc.to_dict() for name, doc in docs.items()},
-        }
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        # a document encodes once, so a shared one is spliced in each time whole
+        formulas = {name: doc.to_json() for name, doc in docs.items()}
+        fields = {"k": args.k, "rows": rect.rows, "cols": rect.cols, "equal": equal}
+        encoded = {key: json.dumps(value) for key, value in fields.items()}
+        print(_json_object({**encoded, "formulas": _json_object(formulas)}))
     else:
         for name, doc in docs.items():
             print(f"formula {name}:")
             print(doc.to_text())
         print(f"equal: {str(equal).lower()}")
     return 0
+
+
+def _json_object(encoded: dict[str, str]) -> str:
+    """The JSON object of already encoded values, as json.dumps writes it
+    with sort_keys=True and separators=(",", ":")."""
+    items = (f"{json.dumps(key)}:{value}" for key, value in sorted(encoded.items()))
+    return "{" + ",".join(items) + "}"
 
 
 def _rectangles(kmax: int) -> Iterable[Rectangle]:
@@ -267,19 +272,20 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # the options several subcommands share, each declared once
-    with_k = argparse.ArgumentParser(add_help=False)
-    with_k.add_argument("--k", type=int, required=True)
-    with_format = argparse.ArgumentParser(add_help=False)
-    with_format.add_argument("--format", choices=("text", "json"), default="text")
-    both = [with_k, with_format]
 
-    p = sub.add_parser("kschur", parents=both, help="expand a k-Schur function")
+    def shared(p: argparse.ArgumentParser, formats: bool = True) -> argparse.ArgumentParser:
+        """Add the options several subcommands share, each declared once."""
+        p.add_argument("--k", type=int, required=True)
+        if formats:
+            p.add_argument("--format", choices=("text", "json"), default="text")
+        return p
+
+    p = shared(sub.add_parser("kschur", help="expand a k-Schur function"))
     p.add_argument("--partition", required=True, help="comma-separated parts; '' for empty")
     p.add_argument("--no-cache", action="store_true", help="skip the persisted cache")
     p.set_defaults(func=cmd_kschur)
 
-    p = sub.add_parser("rect", parents=both, help="closed formulas for a maximal rectangle")
+    p = shared(sub.add_parser("rect", help="closed formulas for a maximal rectangle"))
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--formula", choices=(*_FORMULAS, "all"), default="all")
     p.set_defaults(func=cmd_rect)
@@ -289,12 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("core", parents=both, help="core and bounded partition operations")
+    p = shared(sub.add_parser("core", help="core and bounded partition operations"))
     p.add_argument("action", choices=tuple(_CORE_ARG_COUNT))
     p.add_argument("args", nargs="*")
     p.set_defaults(func=cmd_core)
 
-    p = sub.add_parser("lr", parents=[with_k], help="a k-Littlewood-Richardson coefficient")
+    p = shared(sub.add_parser("lr", help="a k-Littlewood-Richardson coefficient"), formats=False)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
     p.add_argument("--nu", required=True)

@@ -200,12 +200,17 @@ def skew_reading_word(outer: Partition, inner: Partition, k: int) -> tuple[int, 
     inner = as_partition(inner)
     if not contains(outer, inner):
         raise ValueError(f"inner shape {inner} not contained in outer {outer}")
+    return _skew_reading_word(outer, inner, k)
+
+
+def _skew_reading_word(outer: Partition, inner: Partition, k: int) -> tuple[int, ...]:
+    """skew_reading_word of validated partitions, inner contained in outer."""
     padded = inner + (0,) * (len(outer) - len(inner))
-    word = []
-    for i in range(len(outer), 0, -1):
-        for j in range(outer[i - 1], padded[i - 1], -1):
-            word.append(content(i, j, k))
-    return tuple(word)
+    return tuple([
+        content(i, j, k)
+        for i in range(len(outer), 0, -1)
+        for j in range(outer[i - 1], padded[i - 1], -1)
+    ])
 
 
 def reading_word(parts: Partition, k: int) -> tuple[int, ...]:

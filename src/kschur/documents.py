@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 from .affine import AffinePermutation, fold_reduced
@@ -81,6 +82,13 @@ class ExpansionDocument:
         }
 
     def to_json(self) -> str:
+        """The document as compact JSON with sorted keys, encoded on the
+        first call only: every later reader of this document, say the
+        cache's put and then the print of a miss, gets the same text."""
+        return self._json
+
+    @cached_property
+    def _json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     @classmethod

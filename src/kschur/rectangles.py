@@ -35,12 +35,12 @@ from .alcoves import (
 )
 from .cores import (
     Partition,
+    _skew_reading_word,
     as_partition,
     bounded_to_core,
     contains,
     k_bounded_partitions,
     partitions_in_box,
-    skew_reading_word,
     union_partitions,
     w_of_partition,
 )
@@ -86,11 +86,14 @@ class Rectangle:
 def by_readings(rect: Rectangle) -> AlgebraElement:
     """Sum of u(reading word) of the rectangle restacked over each
     contained partition: the shape keeps the partition's rows on top of
-    the full rectangle rows, skewed by the partition itself."""
+    the full rectangle rows, skewed by the partition itself.  The
+    partitions in the box, and the shapes over them, are valid as built,
+    so the words are read unchecked."""
     k, c, r = rect.k, rect.cols, rect.rows
     e = AffinePermutation.identity(k)
     return distinct_sum(k, f"{rect} by reading words", (
-        (nu, e.times_reduced(skew_reading_word((c,) * r + nu, nu, k))) for nu in partitions_in_box(c, r)
+        (nu, e.times_reduced(_skew_reading_word((c,) * r + nu, nu, k)))
+        for nu in partitions_in_box(c, r)
     ))
 
 

@@ -140,6 +140,14 @@ def test_reduced_word_matches_reference_peel():
         k = rng.randint(1, 5)
         w = random_element(rng, k, max_len=20)
         assert w.reduced_word() == reference_reduced_word(w), w.window
+    # long elements at k = 10, where the peel resumes its scan mid-window:
+    # grown by random letters, keeping each one that raises the length
+    for _ in range(100):
+        length = rng.randint(60, 120)
+        w = AffinePermutation.identity(10)
+        while w.length() < length:
+            w = w.times_reduced([rng.randrange(11)]) or w
+        assert w.reduced_word() == reference_reduced_word(w), w.window
 
 
 def step_and_undo_reduced_word(w):

@@ -27,6 +27,7 @@ from kschur.alcoves import (
     simple_root,
     translation,
 )
+from kschur.reports import IdentityError
 
 
 def random_element(rng, k, max_len=10):
@@ -340,6 +341,52 @@ def test_alcove_of_matches_fraction_oracle():
         else:
             assert alcove_of(p) == expected, p
     assert 0 < walls < 600  # the draw hits walls and open alcoves both
+
+
+# The integer walk as it ran before it resumed its scan after a swap:
+# every step rescans the walls from the first, and the element is built
+# letter by letter.  The reference the resuming walk must reproduce.
+def rescan_walk(p, d):
+    n = len(p)
+    letters = []
+    while True:
+        if p[0] - p[n - 1] > d:
+            p[0], p[n - 1] = p[n - 1] + d, p[0] - d
+            letters.append(0)
+            continue
+        for i in range(1, n):
+            if p[i - 1] < p[i]:
+                p[i - 1], p[i] = p[i], p[i - 1]
+                letters.append(i)
+                break
+        else:
+            break
+    if any(p[i - 1] == p[i] for i in range(1, n)) or p[0] - p[n - 1] == d:
+        raise ValueError("point on wall")
+    return AffinePermutation.from_word(n - 1, reversed(letters))
+
+
+def rescan_pseudo_translation(gamma):
+    n = len(gamma)
+    return rescan_walk([n - 1 - t + n * x for t, x in enumerate(gamma)], n)
+
+
+def test_pseudo_translation_matches_rescan_walk():
+    for k in range(1, 9):
+        for gamma in product((0, 1), repeat=k + 1):
+            assert pseudo_translation(gamma).window == rescan_pseudo_translation(gamma).window
+    rng = random.Random(21)
+    for _ in range(2000):
+        gamma = tuple(rng.randrange(-4, 5) for _ in range(rng.randint(2, 7)))
+        assert pseudo_translation(gamma).window == rescan_pseudo_translation(gamma).window, gamma
+
+
+def test_walk_refuses_a_word_that_is_not_reduced(monkeypatch):
+    # the fold that builds the walk's element is its check: a word with a
+    # descent gives no element, and the walk raises rather than return None
+    monkeypatch.setattr(AffinePermutation, "times_reduced", lambda w, word: None)
+    with pytest.raises(IdentityError, match="is not reduced"):
+        pseudo_translation((1, 0, 0))
 
 
 # the walk replaced by one that lands one letter off its answer, on

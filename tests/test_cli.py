@@ -25,7 +25,7 @@ from kschur.cli import (
 from kschur.cores import k_bounded_partitions, w_of_partition
 from kschur.documents import ExpansionDocument
 from kschur.nilcoxeter import AlgebraElement, h, kschur
-from kschur.rectangles import Rectangle
+from kschur.rectangles import Rectangle, all_rectangles
 
 
 def run_cli(capsys, *argv):
@@ -127,6 +127,64 @@ def test_rect_command_all_prints_a_differing_formula_on_its_own(capsys, monkeypa
     assert len(docs["y"]["terms"]) == 9
     assert docs["x"] == docs["z"] == docs["w"]
     assert docs["x"]["terms"][1:] == docs["y"]["terms"]
+
+
+def rect_payload(rect, elements):
+    """The `rect --formula all --format json` payload as a dict, built from
+    each formula's document the way json.dumps would encode it whole."""
+    docs = {name: ExpansionDocument.from_element(rect, el) for name, el in elements.items()}
+    first = next(iter(elements.values()))
+    return {
+        "k": rect.k,
+        "rows": rect.rows,
+        "cols": rect.cols,
+        "equal": all(el == first for el in elements.values()),
+        "formulas": {name: doc.to_dict() for name, doc in docs.items()},
+    }
+
+
+def test_rect_command_json_envelope_is_json_dumps_of_the_payload(capsys):
+    # the envelope splices in each document's encoding: byte for byte what
+    # encoding the whole payload with sorted keys and compact separators gives
+    for k in range(1, 7):
+        for rect in all_rectangles(k):
+            argv = ["rect", "--k", str(k), "--rows", str(rect.rows), "--format", "json"]
+            code, out, _ = run_cli(capsys, *argv)
+            payload = rect_payload(rect, {name: fn(rect) for name, fn in cli._FORMULAS.items()})
+            assert code == 0
+            assert out == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_rect_command_json_envelope_with_a_differing_formula(capsys, monkeypatch):
+    rect = Rectangle.with_rows(4, 3)
+    elements = {name: fn(rect) for name, fn in cli._FORMULAS.items()}
+    elements["z"] = AlgebraElement(4, elements["z"].items()[:-1])
+    monkeypatch.setitem(cli._FORMULAS, "z", lambda r: elements["z"])
+    code, out, _ = run_cli(capsys, "rect", "--k", "4", "--rows", "3", "--format", "json")
+    assert code == 0
+    payload = rect_payload(rect, elements)
+    assert payload["equal"] is False
+    assert out == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_each_document_is_encoded_once(capsys, tmp_path, monkeypatch):
+    # a kschur miss writes the cache and prints from one encoding; rect
+    # encodes its one shared document once, however many formulas share it
+    encoded = []
+    to_dict = ExpansionDocument.to_dict
+    monkeypatch.setattr(
+        ExpansionDocument, "to_dict", lambda doc: encoded.append(doc) or to_dict(doc)
+    )
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    argv = ["kschur", "--k", "3", "--partition", "2,1", "--format", "json"]
+    miss = run_cli(capsys, *argv)
+    assert len(encoded) == 1
+    assert run_cli(capsys, *argv) == miss  # a hit encodes the document it read
+    assert len(encoded) == 2
+    assert miss == (0, kschur_json(3, (2, 1)) + "\n", "")
+    encoded.clear()
+    assert run_cli(capsys, "rect", "--k", "4", "--rows", "3", "--format", "json")[0] == 0
+    assert len(encoded) == 1
 
 
 def test_rect_command_single_formula(capsys):
@@ -551,6 +609,92 @@ def test_document_rectangle_index_roundtrip():
     doc = ExpansionDocument.from_element(Rectangle(2, cols=1, rows=2), elem)
     parsed = ExpansionDocument.from_json(doc.to_json())
     assert parsed.index == Rectangle(2, cols=1, rows=2)
+
+
+# `--help` of the top level and of each subcommand, at 80 columns
+HELP = {
+    "": (
+        "usage: kschur [-h] {kschur,rect,verify,core,lr} ...\n"
+        "\n"
+        "k-Schur functions in the standard basis of the affine nilCoxeter algebra, with\n"
+        "closed formulas for maximal rectangles\n"
+        "\n"
+        "positional arguments:\n"
+        "  {kschur,rect,verify,core,lr}\n"
+        "    kschur              expand a k-Schur function\n"
+        "    rect                closed formulas for a maximal rectangle\n"
+        "    verify              run verification sweeps\n"
+        "    core                core and bounded partition operations\n"
+        "    lr                  a k-Littlewood-Richardson coefficient\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ),
+    "kschur": (
+        "usage: kschur kschur [-h] --k K [--format {text,json}] --partition PARTITION\n"
+        "                     [--no-cache]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --k K\n"
+        "  --format {text,json}\n"
+        "  --partition PARTITION\n"
+        "                        comma-separated parts; '' for empty\n"
+        "  --no-cache            skip the persisted cache\n"
+    ),
+    "rect": (
+        "usage: kschur rect [-h] --k K [--format {text,json}] --rows ROWS\n"
+        "                   [--formula {x,y,z,w,all}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --k K\n"
+        "  --format {text,json}\n"
+        "  --rows ROWS\n"
+        "  --formula {x,y,z,w,all}\n"
+    ),
+    "verify": (
+        "usage: kschur verify [-h] --kmax KMAX [--suite {equiv,main,commute,pieri,all}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --kmax KMAX\n"
+        "  --suite {equiv,main,commute,pieri,all}\n"
+    ),
+    "core": (
+        "usage: kschur core [-h] --k K [--format {text,json}]\n"
+        "                   {act,to-core,to-bounded,word} [args ...]\n"
+        "\n"
+        "positional arguments:\n"
+        "  {act,to-core,to-bounded,word}\n"
+        "  args\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --k K\n"
+        "  --format {text,json}\n"
+    ),
+    "lr": (
+        "usage: kschur lr [-h] --k K --lambda LAM --mu MU --nu NU\n"
+        "\n"
+        "options:\n"
+        "  -h, --help    show this help message and exit\n"
+        "  --k K\n"
+        "  --lambda LAM\n"
+        "  --mu MU\n"
+        "  --nu NU\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(HELP))
+def test_help_text(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("NO_COLOR", "1")
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"] if command else ["--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == HELP[command]
 
 
 def kschur_json(k, lam):

@@ -47,7 +47,7 @@ REPEATED_READING_WORD = """
 from kschur import rectangles
 from kschur.reports import IdentityError
 
-rectangles.skew_reading_word = lambda shape, inner, k: ()
+rectangles._skew_reading_word = lambda shape, inner, k: ()
 try:
     rectangles.by_readings(rectangles.Rectangle(3, 2, 2))
 except IdentityError as exc:

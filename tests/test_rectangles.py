@@ -176,8 +176,8 @@ REPEATED, DEAD = "repeats an earlier term", "the product is zero"
 @pytest.mark.parametrize(
     "formula, source, fake, fault",
     [
-        (by_readings, "skew_reading_word", lambda shape, inner, k: (), REPEATED),
-        (by_readings, "skew_reading_word", lambda shape, inner, k: (1, 1), DEAD),
+        (by_readings, "_skew_reading_word", lambda shape, inner, k: (), REPEATED),
+        (by_readings, "_skew_reading_word", lambda shape, inner, k: (1, 1), DEAD),
         (by_translations, "pseudo_translation", lambda gamma: AffinePermutation.identity(3), REPEATED),
         (by_translations, "pseudo_translation", lambda gamma: None, DEAD),
         (by_columns, "cyclically_decreasing_word", lambda k, subset: (), REPEATED),
