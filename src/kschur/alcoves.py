@@ -29,14 +29,6 @@ def make_point(coords: Iterable) -> Point:
     return tuple(Fraction(x) for x in coords)
 
 
-def same_point(p: Sequence, q: Sequence) -> bool:
-    """Equality modulo the all-ones vector: all coordinate differences agree."""
-    if len(p) != len(q):
-        return False
-    diffs = {Fraction(a) - Fraction(b) for a, b in zip(p, q)}
-    return len(diffs) == 1
-
-
 def add_points(p: Sequence, q: Sequence) -> Point:
     return tuple(Fraction(a) + Fraction(b) for a, b in zip(p, q))
 

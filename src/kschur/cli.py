@@ -2,6 +2,13 @@
 
 Exit codes: 0 success or all checks passed, 1 verification failure
 or a closed standard output, 2 usage error.
+
+The argument parser is built once, when this module is imported, and
+every `main` call reuses it: parsing leaves no state in it, and help
+reads the terminal width when it is printed.  A process that imports
+the module once and calls `main` many times (tests, an embedding
+program, a server that forks per request after the import) builds it
+once; a one-shot run builds it once either way, at import.
 """
 
 from __future__ import annotations
@@ -309,9 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# holds only this module's cmd_* functions, so a tracer that rebinds
+# library functions by name still reaches every call they make
+_PARSER = build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command == "core" and len(args.args) != _CORE_ARG_COUNT[args.action]:
         print(
             f"error: core {args.action} takes {_CORE_ARG_COUNT[args.action]} argument(s)",

@@ -23,7 +23,6 @@ from kschur.alcoves import (
     pseudo_translation,
     reflect,
     reflect_linear,
-    same_point,
     simple_root,
     translation,
 )
@@ -37,6 +36,14 @@ def random_element(rng, k, max_len=10):
 
 def random_point(rng, k):
     return tuple(Fraction(rng.randrange(-20, 21), rng.choice((1, 2, 3, 5, 7))) for _ in range(k + 1))
+
+
+def same_point(p, q):
+    """Equality modulo the all-ones vector: all coordinate differences agree."""
+    if len(p) != len(q):
+        return False
+    diffs = {Fraction(a) - Fraction(b) for a, b in zip(p, q)}
+    return len(diffs) == 1
 
 
 def fold_reflect(word, p):

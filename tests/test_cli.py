@@ -697,6 +697,60 @@ def test_help_text(capsys, monkeypatch, command):
     assert capsys.readouterr().out == HELP[command]
 
 
+def help_text(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exit_:
+        parse(argv)
+    assert exit_.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["kschur", "--help"]], ids=["top", "kschur"])
+def test_help_width_is_read_when_help_is_printed(capsys, monkeypatch, argv):
+    # main's parser is built at import; a fresh one is the reference
+    monkeypatch.setenv("NO_COLOR", "1")
+    texts = []
+    for columns in ("60", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        text = help_text(capsys, main, argv)
+        assert text == help_text(capsys, cli.build_parser().parse_args, argv)
+        texts.append(text)
+    assert texts[0] != texts[1]
+
+
+def test_one_parser_serves_every_call_without_leaking_state(capsys, tmp_path, monkeypatch):
+    def no_new_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_new_parser)
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    kschur_argv = ("kschur", "--k", "3", "--partition", "2,1")
+    cached = tmp_path / "3" / "2,1.json"
+
+    code, out, _ = run_cli(capsys, *kschur_argv, "--format", "json", "--no-cache")
+    assert code == 0 and not cached.exists()
+    doc = ExpansionDocument.from_json(out)
+    # neither --no-cache nor --format json carries into the next call
+    assert run_cli(capsys, *kschur_argv) == (0, doc.to_text() + "\n", "")
+    assert cached.read_text() == doc.to_json()
+
+    # an argparse usage error leaves the parser fit for the next call
+    with pytest.raises(SystemExit) as exit_:
+        main(["rect", "--k", "4", "--rows", "3", "--format", "yaml"])
+    assert exit_.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "rect", "--k", "4", "--rows", "3")
+    assert (code, out.splitlines()[-1]) == (0, "equal: true")
+
+    code, out, _ = run_cli(capsys, "verify", "--kmax", "1")
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert run_cli(capsys, "core", "--k", "4", "act", "u1", "6,4,3,1", "--format", "json") == (
+        0, '{"parts": [7, 4, 4, 1, 1]}\n', "",
+    )
+    assert run_cli(capsys, "core", "--k", "4", "act", "u1", "6,4,3,1") == (0, "7,4,4,1,1\n", "")
+    lr_argv = ("lr", "--k", "4", "--lambda", "2,2,2", "--mu", "1", "--nu", "2,2,2,1")
+    assert run_cli(capsys, *lr_argv) == (0, "1\n", "")
+
+
 def kschur_json(k, lam):
     return ExpansionDocument.from_element(lam, kschur(k, lam)).to_json()
 
