@@ -4,10 +4,16 @@ One expansion document per key (k, λ), in the schema of `--format json`,
 at <dir>/<k>/<comma-separated parts, or "empty">.json, where <dir> is
 $KSCHUR_CACHE_DIR or ~/.cache/kschur.  A put writes a temp file and
 renames it into place, so it touches only its own key.  The cache is
-advisory: a file that does not parse, holds another key, or fails the
-certificate (coefficient δ_{λν} on every Grassmannian w_ν with
-|ν| = |λ|) is ignored with a warning on stderr and recomputed, and a
-put that cannot write (say, the directory is a regular file) only warns.
+advisory: a file that does not parse, holds another key, holds a term
+whose reduced word is not of length |λ|, or fails the certificate
+(coefficient δ_{λν} on every Grassmannian w_ν with |ν| = |λ|) is ignored
+with a warning on stderr and recomputed, and a put that cannot write
+(say, the directory is a regular file) only warns.
+
+Not caught: a stray term of degree |λ| on an element that is not
+Grassmannian.  The certificate reads only the Grassmannian coefficients,
+and it proves the document is s_λ only for an element of the subring the
+h's generate, which a file cannot be shown to lie in.
 """
 
 from __future__ import annotations
@@ -42,6 +48,9 @@ class ExpansionCache:
             doc = ExpansionDocument.from_json(path.read_text())
             if doc.k != k or doc.index != lam:
                 raise ValueError(f"holds the document of k={doc.k} index {doc.index}")
+            # the reader proved each word reduced for its window
+            if stray := [t.word for t in doc.terms if len(t.word) != sum(lam)]:
+                raise ValueError(f"the term of word {stray[0]} is not of degree {sum(lam)}")
             certify(k, lam, {t.window: t.coeff for t in doc.terms})
         except (FileNotFoundError, NotADirectoryError):
             return None

@@ -235,7 +235,7 @@ def cmd_core(args: argparse.Namespace) -> int:
         for _, i in chain:
             if not 0 <= i <= k:
                 raise UsageError(f"generator index {i} out of range 0..{k}")
-        emit(cores.apply_letters(parse_core(args.args[1], k), chain, k))
+        emit(cores._apply_letters(parse_core(args.args[1], k), chain, k))
     elif args.action == "to-core":
         emit(cores.bounded_to_core(parse_bounded(args.args[0], k), k))
     elif args.action == "to-bounded":

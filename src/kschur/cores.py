@@ -7,11 +7,14 @@ hook of length k+1).  `is_core` reads this off the beta numbers of the
 rows, on an abacus with k+1 runners, in O(rows); only `core_to_bounded`
 builds the hook table.  The affine symmetric group acts on cores through
 the residues (col - row) mod (k+1) of the cells: every action validates
-its partition once and then steps letter by letter through `_s_step`.
+its partition and indices once, at the boundary, and then steps letter
+by letter through `_apply_letters`, the one loop over `_s_step`.  The
+core of each k-bounded partition is acted out once per process and kept.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .affine import AffinePermutation
@@ -171,7 +174,14 @@ def apply_letters(
     for _, i in letters:
         if not 0 <= i <= k:
             raise ValueError(f"generator index must be in 0..{k}, got {i}")
-    parts = as_partition(parts)
+    return _apply_letters(as_partition(parts), letters, k)
+
+
+def _apply_letters(
+    parts: Partition, letters: Sequence[tuple[str, int]], k: int
+) -> Optional[Partition]:
+    """apply_letters on a validated partition by letters whose indices lie
+    in 0..k: the one loop of every core action."""
     for kind, i in reversed(letters):
         moved = _s_step(parts, i, k)
         # adding cells grows the first row that changes; removing shrinks it
@@ -181,12 +191,17 @@ def apply_letters(
     return parts
 
 
+def _u_letters(word: Iterable[int]) -> list[tuple[str, int]]:
+    """The letters of a word of u_i."""
+    return [("u", i) for i in word]
+
+
 def apply_word_nil(
     parts: Partition, word: Sequence[int], k: int
 ) -> Optional[Partition]:
     """Act on a core by a word of u_i, rightmost letter first; None if
     any step has no addable corner."""
-    return apply_letters(parts, [("u", i) for i in word], k)
+    return apply_letters(parts, _u_letters(word), k)
 
 
 def skew_reading_word(outer: Partition, inner: Partition, k: int) -> tuple[int, ...]:
@@ -219,19 +234,33 @@ def reading_word(parts: Partition, k: int) -> tuple[int, ...]:
 
 def w_of_partition(parts: Sequence[int], k: int) -> AffinePermutation:
     """The minimal coset representative sending the empty core to the
-    core of a k-bounded partition; its length is the partition size."""
+    core of a k-bounded partition; its length is the partition size,
+    checked by one fold of the reading word, which raises IdentityError
+    unless every letter raises the length."""
     parts = as_bounded(parts, k)
-    return AffinePermutation.from_word(k, reading_word(parts, k))
+    word = _skew_reading_word(parts, (), k)
+    w = AffinePermutation.identity(k).times_reduced(word)
+    if w is None:
+        raise IdentityError(f"the reading word {word} of {parts} is not reduced at k={k}")
+    return w
 
 
 def bounded_to_core(parts: Sequence[int], k: int) -> Partition:
     """The (k+1)-core corresponding to a k-bounded partition.
 
     Computed by acting on the empty core with the reading word of the
-    partition; every step adds at least one corner.
+    partition; every step adds at least one corner.  Each core is acted
+    out once per process (see `_core`).
     """
-    parts = as_bounded(parts, k)
-    core = apply_word_nil((), reading_word(parts, k), k)
+    return _core(as_bounded(parts, k), k)
+
+
+@functools.cache
+def _core(parts: Partition, k: int) -> Partition:
+    """bounded_to_core of a validated k-bounded partition, kept until
+    `nilcoxeter.clear_memo`; a partition whose word kills the core caches
+    nothing."""
+    core = _apply_letters((), _u_letters(_skew_reading_word(parts, (), k)), k)
     if core is None:
         raise IdentityError(f"the reading word of {parts} kills the empty {k + 1}-core")
     return core

@@ -21,9 +21,12 @@ import functools
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
+from . import cores
 from .affine import AffinePermutation, fold_reduced, fold_reduced_left
 from .cores import (
     Partition,
+    _apply_letters,
+    _u_letters,
     apply_word_nil,
     as_bounded,
     as_partition,
@@ -58,11 +61,12 @@ def _side_fold(side: str) -> Callable:
 class AlgebraElement:
     """Sparse integer combination of standard basis elements u(w).
 
-    Immutable by convention: operations return new elements.  Terms are
-    keyed by window tuple; terms with coefficient zero are never stored.
+    Immutable: operations return new elements.  Terms are keyed by window
+    tuple; terms with coefficient zero are never stored.  The reduced words
+    of the terms are read on first use and kept (see `_words`).
     """
 
-    __slots__ = ("k", "_terms")
+    __slots__ = ("k", "_terms", "_reduced")
 
     def __init__(
         self,
@@ -113,9 +117,16 @@ class AlgebraElement:
         e = AffinePermutation.identity(self.k)
         return [(e._derived(w), self._terms[w]) for w in sorted(self._terms)]
 
-    def _words(self) -> list[tuple[tuple[int, ...], int]]:
-        """The (reduced word, coefficient) pairs of the terms, in items() order."""
-        return [(w.reduced_word(), c) for w, c in self.items()]
+    def _words(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The (reduced word, coefficient) pairs of the terms, in items()
+        order, read on the first call and kept: threads that read them at
+        once store equal tuples."""
+        try:
+            return self._reduced
+        except AttributeError:
+            words = tuple((w.reduced_word(), c) for w, c in self.items())
+            object.__setattr__(self, "_reduced", words)
+            return words
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -235,12 +246,13 @@ def h(k: int, i: int) -> AlgebraElement:
     return distinct_sum(k, f"h_{i} at k={k}", ((word, e.times_reduced(word)) for word in h_words(k, i)))
 
 
-def h_words(k: int, i: int) -> list[tuple[int, ...]]:
+@functools.cache
+def h_words(k: int, i: int) -> tuple[tuple[int, ...], ...]:
     """The binomial(k+1, i) cyclically decreasing words of h_i, one for
-    each i-subset of the generator indices."""
+    each i-subset of the generator indices, built once until `clear_memo`."""
     if not 0 <= i <= k:
         raise ValueError(f"h index must be in 0..{k}, got {i}")
-    return [cyclically_decreasing_word(k, subset) for subset in combinations(range(k + 1), i)]
+    return tuple(cyclically_decreasing_word(k, subset) for subset in combinations(range(k + 1), i))
 
 
 def distinct_sum(
@@ -284,25 +296,31 @@ def act_on_core(
         return _act(x._words(), core, x.k)
     if k is None:
         raise ValueError("k is required when acting by a word")
-    return _act([(tuple(x), 1)], core, k)
+    res = apply_word_nil(core, x, k)
+    return {} if res is None else {res: 1}
 
 
 def _act(
     pairs: Sequence[tuple[Sequence[int], int]], core: Partition, k: int
 ) -> dict[Partition, int]:
-    """act_on_core on (reduced word, coefficient) pairs, so that a caller
+    """act_on_core on a validated core by (reduced word, coefficient) pairs
+    of an element of rank k, whose letters lie in 0..k, so that a caller
     acting on many cores reads the words of an element once."""
     out: dict[Partition, int] = {}
     for word, c in pairs:
-        res = apply_word_nil(core, word, k)
+        res = _apply_letters(core, _u_letters(word), k)
         if res is not None:
             out[res] = out.get(res, 0) + c
     return {kappa: c for kappa, c in out.items() if c}
 
 
 def clear_memo() -> None:
+    """Empty every per-process table: the solve, the Grassmannian tables,
+    the words of each h_i and the core of each k-bounded partition."""
     _solve.cache_clear()
     _grassmannians.cache_clear()
+    h_words.cache_clear()
+    cores._core.cache_clear()
 
 
 def kschur(k: int, lam: Sequence[int]) -> AlgebraElement:
@@ -397,7 +415,7 @@ def pieri_partitions(k: int, lam: Sequence[int], i: int) -> list[Partition]:
     core = bounded_to_core(lam, k)
     seen: set[Partition] = set()
     for word in h_words(k, i):
-        res = apply_word_nil(core, word, k)
+        res = _apply_letters(core, _u_letters(word), k)
         if res is not None:
             mu = core_to_bounded(res, k)
             if mu in seen:

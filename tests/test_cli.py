@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from kschur import cli
+from kschur import cli, cores, nilcoxeter
 from kschur.affine import AffinePermutation
 from kschur.cache import ExpansionCache
 from kschur.cli import (
@@ -227,6 +227,23 @@ def test_verify_command(capsys):
     )
 
 
+def test_verify_report_is_the_same_with_a_warm_or_cleared_memo(capsys):
+    # the memos keep pure derived data only: a warm process reports what a
+    # cleared one does, apart from the timings
+    def report():
+        code, out, _ = run_cli(capsys, "verify", "--kmax", "4", "--suite", "all")
+        assert code == 0
+        payload = json.loads(out)
+        for check in payload["checks"]:
+            del check["seconds"]
+        return payload
+
+    first, second = report(), report()
+    nilcoxeter.clear_memo()
+    assert first == second == report()
+    assert first["passed"] is True
+
+
 def _descending_partitions(n, largest):
     """Partitions of n with parts <= largest, in reverse lexicographic order."""
     if n == 0:
@@ -439,6 +456,18 @@ def test_core_command_act_chain_dies_at_a_u_letter(capsys):
     assert (code, out) == (0, "0\n")
     code, out, _ = run_cli(capsys, "core", "--k", "2", "act", "s1s2u1s0", "")
     assert (code, out.strip()) == (0, "3,1,1")
+
+
+def test_core_command_act_checks_each_index_once(capsys, monkeypatch):
+    # the command checks the indices for its usage error and steps the
+    # letters through the core action's own loop, not a second check
+    def refuse(*args):
+        raise AssertionError("apply_letters called")
+
+    monkeypatch.setattr(cores, "apply_letters", refuse)
+    assert run_cli(capsys, "core", "--k", "4", "act", "u1", "6,4,3,1") == (0, "7,4,4,1,1\n", "")
+    code, _, err = run_cli(capsys, "core", "--k", "4", "act", "u9", "6,4,3,1")
+    assert code == 2 and "generator index 9 out of range 0..4" in err
 
 
 def test_core_command_bijections(capsys):
@@ -830,6 +859,33 @@ def test_cache_corrupt_entry_recomputes(tmp_path, capsys, monkeypatch):
         assert (code, out.strip()) == (0, doc.to_json())
         assert "corrupt" in err
         assert cache.get(3, lam) == doc
+
+
+def test_cache_term_of_another_degree_recomputes(tmp_path, capsys, monkeypatch):
+    """s_(2,1) at k=4 plus 5 u_1: the certificate reads only the Grassmannian
+    terms of degree 3, so the degree of every term is checked on its own."""
+    monkeypatch.setenv("KSCHUR_CACHE_DIR", str(tmp_path))
+    cache = ExpansionCache(tmp_path)
+    lam = (2, 1)
+    doc = ExpansionDocument.from_element(lam, kschur(4, lam))
+    data = doc.to_dict()
+    u1 = AffinePermutation.identity(4).right_mult(1)
+    data["terms"].append({"window": list(u1.window), "word": [1], "coeff": 5})
+    data["terms"].sort(key=lambda t: t["window"])
+    assert len(data["terms"]) == 26
+    path = cache.file(4, lam)
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps(data))
+    assert cache.get(4, lam) is None
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("warning: ignoring corrupt cache entry")
+    assert "not of degree 3" in line
+    argv = ["kschur", "--k", "4", "--partition", "2,1", "--format", "json"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out.strip()) == (0, doc.to_json())
+    assert len(err.splitlines()) == 1 and "corrupt" in err
+    assert out == run_cli(capsys, *argv, "--no-cache")[1]
+    assert cache.get(4, lam) == doc
 
 
 @pytest.mark.parametrize("disorder", ["repeated", "swapped"])

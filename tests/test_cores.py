@@ -3,6 +3,7 @@ from collections import deque
 
 import pytest
 
+from kschur import cores, nilcoxeter
 from kschur.affine import AffinePermutation
 from kschur.cores import (
     apply_letters,
@@ -305,6 +306,37 @@ def test_w_of_partition_length_matches_bfs():
     assert apply_letters((), s_letters(w.reduced_word()), 2) == (4, 2, 2, 1, 1)
     oracle_word = bfs_minimal_word((4, 2, 2, 1, 1), 2, 6)
     assert len(oracle_word) == 6
+
+
+def test_w_of_partition_is_one_fold_of_the_reading_word():
+    for k in range(1, 7):
+        for n in range(9):
+            for lam in k_bounded_partitions(n, k):
+                assert w_of_partition(lam, k) == AffinePermutation.from_word(k, reading_word(lam, k))
+
+
+def test_w_of_partition_refuses_a_reading_word_that_is_not_reduced(monkeypatch):
+    # from_word would take (1, 1) to the identity; the one fold must raise
+    monkeypatch.setattr(cores, "_skew_reading_word", lambda outer, inner, k: (1, 1))
+    with pytest.raises(IdentityError, match=r"reading word \(1, 1\) of \(2,\) is not reduced"):
+        w_of_partition((2,), 3)
+
+
+def test_bounded_to_core_acts_once_per_partition(monkeypatch):
+    nilcoxeter.clear_memo()
+    steps = []
+    real = cores._s_step
+    monkeypatch.setattr(cores, "_s_step", lambda *args: steps.append(args) or real(*args))
+    assert bounded_to_core((2, 1, 1, 1, 1), 2) == (4, 2, 2, 1, 1)
+    acted = len(steps)
+    assert acted == 6
+    assert bounded_to_core([2, 1, 1, 1, 1, 0], 2) == (4, 2, 2, 1, 1)
+    assert len(steps) == acted
+    with pytest.raises(ValueError, match="exceeding 2"):
+        bounded_to_core((3,), 2)  # validated before the memo is read
+    nilcoxeter.clear_memo()
+    bounded_to_core((2, 1, 1, 1, 1), 2)
+    assert len(steps) == 2 * acted
 
 
 def test_w_of_partition_is_minimal_representative():

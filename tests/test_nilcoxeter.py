@@ -17,6 +17,7 @@ from kschur.nilcoxeter import (
     cyclically_decreasing_word,
     h,
     h_product,
+    h_words,
     kschur,
     kschur_h_expansion,
     lr_coefficient,
@@ -398,6 +399,47 @@ def test_grassmannians_are_built_once_for_the_solve_and_the_cache(monkeypatch, t
     cache.get(5, lam)
     assert built[(5, lam)] == 2  # clear_memo clears the table too
     nilcoxeter.clear_memo()
+
+
+def _memo_sizes():
+    tables = (nilcoxeter._solve, nilcoxeter._grassmannians, h_words, cores._core)
+    return [table.cache_info().currsize for table in tables]
+
+
+def test_clear_memo_empties_every_table():
+    nilcoxeter.clear_memo()
+    assert _memo_sizes() == [0, 0, 0, 0]
+    kschur(3, (2, 1))
+    pieri_partitions(3, (2, 1), 2)
+    assert all(_memo_sizes()), _memo_sizes()
+    nilcoxeter.clear_memo()
+    assert _memo_sizes() == [0, 0, 0, 0]
+
+
+def test_h_words_are_a_kept_tuple_and_still_range_checked():
+    nilcoxeter.clear_memo()
+    words = h_words(3, 2)
+    assert isinstance(words, tuple) and all(isinstance(word, tuple) for word in words)
+    assert h_words(3, 2) is words
+    h_words(3, 3)
+    for i in (4, -1):
+        with pytest.raises(ValueError, match=rf"h index must be in 0\.\.3, got {i}"):
+            h_words(3, i)
+    nilcoxeter.clear_memo()
+
+
+def test_words_of_an_element_are_read_once(monkeypatch):
+    calls = []
+    real = AffinePermutation.reduced_word
+    monkeypatch.setattr(AffinePermutation, "reduced_word", lambda w: calls.append(w) or real(w))
+    element = h(3, 2) + h(3, 1)
+    words = element._words()
+    assert isinstance(words, tuple)
+    assert element._words() is words
+    assert len(calls) == len(element) == 10
+    assert words == tuple((real(w), c) for w, c in element.items())
+    with pytest.raises(AttributeError, match="immutable"):
+        element._reduced = ()
 
 
 def _twice_s1():
