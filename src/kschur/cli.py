@@ -43,7 +43,7 @@ from .reports import Report
 # hours.  Measured on a 2-vCPU VM with Python 3.11.
 #
 # verify --kmax, and the k of kschur and lr: verify --kmax 8 --suite all
-# takes 58 s and 813 MB peak RSS; 9 waits until the memo's memory is bounded
+# takes 52-56 s and 813 MB peak RSS; 9 waits until the memo's memory is bounded
 KMAX_CEILING = 8
 # the size of every k-bounded partition argument: it admits the 4x4
 # rectangle at k = 7, and at k = 8 the slowest size-16 partition tried,

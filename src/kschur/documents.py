@@ -11,7 +11,8 @@ key; the word is carried for readability and must be a reduced word for
 it, which the reader checks by folding the word from the identity once
 the window has k + 1 entries, so a huge k costs nothing.  Every value
 the schema types as int must be a JSON integer: floats and booleans are
-rejected.
+rejected.  A list index must be a k-bounded partition as written: positive,
+weakly decreasing parts of at most k, with no trailing zero.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from functools import cached_property
 from typing import Union
 
 from .affine import AffinePermutation, fold_reduced
+from .cores import as_bounded
 from .nilcoxeter import AlgebraElement
 from .rectangles import Rectangle
 
@@ -103,6 +105,8 @@ class ExpansionDocument:
             )
         else:
             index = _integers(raw_index)
+            if as_bounded(index, k) != index:
+                raise ValueError(f"index {list(index)} has a zero part")
         terms = []
         for t in data["terms"]:
             window = _integers(t["window"])

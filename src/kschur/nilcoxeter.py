@@ -11,8 +11,10 @@ The complete homogeneous analogues h_i (sums of cyclically decreasing
 products over i-subsets of the generator indices) commute pairwise.  In
 the subring they generate, the k-Schur function s_lam is the element with
 coefficient delta_{lam nu} on u(w_nu) for every Grassmannian w_nu of its
-degree; the solve reads each k-Pieri step off these coefficients alone,
-and the core action stays the independent oracle of the Pieri sweep.
+degree; the solve reads each k-Pieri step off these coefficients alone
+and returns the element only.  The h-expansion of s_lam is read off the
+k-Pieri rule on cores instead (`pieri_partitions`), which the Pieri sweep
+checks against the algebra, so the core action stays an independent oracle.
 """
 
 from __future__ import annotations
@@ -315,9 +317,11 @@ def _act(
 
 
 def clear_memo() -> None:
-    """Empty every per-process table: the solve, the Grassmannian tables,
-    the words of each h_i and the core of each k-bounded partition."""
+    """Empty every per-process table: the solve, the h-expansions, the
+    Grassmannian tables, the words of each h_i and the core of each
+    k-bounded partition."""
     _solve.cache_clear()
+    _h_expansion.cache_clear()
     _grassmannians.cache_clear()
     h_words.cache_clear()
     cores._core.cache_clear()
@@ -326,14 +330,37 @@ def clear_memo() -> None:
 def kschur(k: int, lam: Sequence[int]) -> AlgebraElement:
     """Standard-basis expansion of the k-Schur function of a k-bounded
     partition, solved by certified k-Pieri steps (see `_solve`)."""
-    return _solve(k, as_bounded(lam, k))[0]
+    return _solve(k, as_bounded(lam, k))
 
 
 def kschur_h_expansion(k: int, lam: Sequence[int]) -> dict[Partition, int]:
     """Coefficients of the k-Schur function on the products of h's:
     summing coeff * h_product(k, mu) over the returned map gives
     kschur(k, lam)."""
-    return dict(_solve(k, as_bounded(lam, k))[1])
+    return dict(_h_expansion(k, as_bounded(lam, k)))
+
+
+@functools.cache
+def _h_expansion(k: int, lam: Partition) -> dict[Partition, int]:
+    """The h-expansion of s_lam by the k-Pieri rule on cores: with
+    lam = (i,) + rest, h_i s_rest is the sum of s_nu over nu in
+    pieri_partitions(k, rest, i), so s_lam is h_i s_rest less s_nu for
+    every other nu, each with nu_1 > i (checked, so the recursion ends),
+    taken in decreasing lex order as in the solve."""
+    if not lam:
+        return {(): 1}
+    i, rest = lam[0], lam[1:]
+    expansion = {union_partitions(mu, (i,)): c for mu, c in _h_expansion(k, rest).items()}
+    strip = pieri_partitions(k, rest, i)
+    others = [nu for nu in strip if nu != lam]
+    if len(others) == len(strip) or any(nu[0] <= i for nu in others):
+        raise IdentityError(
+            f"h_{i} s_{rest} at k={k} is the sum of s_nu over {strip}, not s_{lam} plus nu_1 > {i}"
+        )
+    for nu in reversed(others):
+        for mu, d in _h_expansion(k, nu).items():
+            expansion[mu] = expansion.get(mu, 0) - d
+    return {mu: d for mu, d in expansion.items() if d}
 
 
 def certify(k: int, lam: Partition, terms: Mapping[tuple[int, ...], int]) -> None:
@@ -359,30 +386,25 @@ def _excess(k: int, lam: Partition, terms: Mapping[tuple[int, ...], int]) -> dic
 
 
 @functools.cache
-def _solve(k: int, lam: Partition) -> tuple[AlgebraElement, dict[Partition, int]]:
-    """The k-Schur function of lam and its h-expansion, by one k-Pieri step:
-    with lam = (i,) + rest, h_i s_rest is s_lam plus c s_nu for each excess
-    c on w_nu (see `_excess`), each such nu with nu_1 > i (checked, so the
+def _solve(k: int, lam: Partition) -> AlgebraElement:
+    """The k-Schur function of lam by one k-Pieri step: with
+    lam = (i,) + rest, h_i s_rest is s_lam plus c s_nu for each excess c
+    on w_nu (see `_excess`), each such nu with nu_1 > i (checked, so the
     recursion ends, as nu_1 <= k).  The h's commute, so the words of h_i
     fold on the right of each term of s_rest."""
     if not lam:
-        terms, expansion = {tuple(range(1, k + 2)): 1}, {(): 1}
+        terms = {tuple(range(1, k + 2)): 1}
     else:
         i, rest = lam[0], lam[1:]
-        element, rest_expansion = _solve(k, rest)
-        terms = _fold(fold_reduced, element._terms, [(word, 1) for word in h_words(k, i)])
-        expansion = {union_partitions(mu, (i,)): c for mu, c in rest_expansion.items()}
+        terms = _fold(fold_reduced, _solve(k, rest)._terms, [(word, 1) for word in h_words(k, i)])
         excess = _excess(k, lam, terms)
         if any(nu[0] <= i for nu in excess):
             raise IdentityError(f"h_{i} s_{rest} at k={k}: excess {excess}, not only nu_1 > {i}")
         for nu, c in excess.items():
-            nu_element, nu_expansion = _solve(k, nu)
-            for w, d in nu_element._terms.items():
+            for w, d in _solve(k, nu)._terms.items():
                 terms[w] = terms.get(w, 0) - c * d
-            for mu, d in nu_expansion.items():
-                expansion[mu] = expansion.get(mu, 0) - c * d
-    result = (AlgebraElement._of_windows(k, terms), {mu: d for mu, d in expansion.items() if d})
-    certify(k, lam, result[0]._terms)
+    result = AlgebraElement._of_windows(k, terms)
+    certify(k, lam, result._terms)
     return result
 
 

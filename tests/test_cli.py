@@ -11,7 +11,7 @@ import pytest
 
 from kschur import cli, cores, nilcoxeter
 from kschur.affine import AffinePermutation
-from kschur.cache import ExpansionCache
+from kschur.cache import ExpansionCache, _rotated
 from kschur.cli import (
     CHAIN_CEILING,
     CORE_SIZE_CEILING,
@@ -614,6 +614,12 @@ def test_document_rejects_non_integer_rectangle_index():
             ExpansionDocument.from_dict(bad)
 
 
+@pytest.mark.parametrize("index", [[2, -1], [1, 2], [0], [5], [2, 0]])
+def test_document_rejects_an_index_that_is_not_a_bounded_partition(index):
+    with pytest.raises(ValueError):
+        ExpansionDocument.from_dict({"k": 3, "index": index, "terms": []})
+
+
 def test_document_huge_k_costs_nothing():
     """A document's k is read before its windows; only a window of k + 1
     entries makes the reader build anything of size k."""
@@ -844,10 +850,16 @@ def test_cache_corrupt_entry_recomputes(tmp_path, capsys, monkeypatch):
     w = w_of_partition((1, 1, 1), 3)
     stray["terms"].append({"window": list(w.window), "word": list(w.reduced_word()), "coeff": 1})
     stray["terms"].sort(key=lambda t: t["window"])
+    # a term of degree 3 that is not Grassmannian, which the certificate
+    # does not read; its Dynkin rotation u_2 u_3 u_0 is not in the file
+    unrotated = doc.to_dict()
+    w = AffinePermutation.from_word(3, (1, 2, 3))
+    unrotated["terms"].append({"window": list(w.window), "word": [1, 2, 3], "coeff": 1})
+    unrotated["terms"].sort(key=lambda t: t["window"])
     relabelled = dict(doc.to_dict(), index=[1, 1, 1])
     wrong_key = ExpansionDocument.from_element((1, 1, 1), kschur(3, (1, 1, 1))).to_dict()
     wrong_k = ExpansionDocument.from_element(lam, kschur(4, lam)).to_dict()
-    for data in (altered, stray, relabelled, wrong_key, wrong_k):
+    for data in (altered, stray, unrotated, relabelled, wrong_key, wrong_k):
         path = cache.file(3, lam)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(data))
@@ -886,6 +898,15 @@ def test_cache_term_of_another_degree_recomputes(tmp_path, capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and "corrupt" in err
     assert out == run_cli(capsys, *argv, "--no-cache")[1]
     assert cache.get(4, lam) == doc
+
+
+def test_cache_rotation_is_the_dynkin_rotation_of_each_window():
+    rng = random.Random(5)
+    for k in range(1, 6):
+        words = [[rng.randrange(k + 1) for _ in range(rng.randrange(6))] for _ in range(8)]
+        terms = {AffinePermutation.from_word(k, word): rng.randint(1, 9) for word in words}
+        windows = {w.window: c for w, c in terms.items()}
+        assert _rotated(k, windows) == {w.rotate_indices(1).window: c for w, c in terms.items()}
 
 
 @pytest.mark.parametrize("disorder", ["repeated", "swapped"])

@@ -362,20 +362,50 @@ def test_kschur_h_expansion_reassembles():
         assert total == kschur(k, lam), (k, lam)
 
 
-def test_kschur_and_h_expansion_share_one_solve(monkeypatch):
-    # every solved (k, lam) passes the certificate once, whichever view asked
-    certified = Counter()
-    real_certify = nilcoxeter.certify
+def test_h_expansion_builds_no_element(monkeypatch):
+    # the h-expansion is read off the k-Pieri rule on cores: no product of
+    # elements, so no solve, is run for it
+    def refuse(*args):
+        raise RuntimeError("element product called")
 
-    def counting(k, lam, coefficient):
-        certified[(k, lam)] += 1
-        return real_certify(k, lam, coefficient)
-
-    monkeypatch.setattr(nilcoxeter, "certify", counting)
+    monkeypatch.setattr(nilcoxeter, "_fold", refuse)
     nilcoxeter.clear_memo()
-    kschur(4, (2, 2, 2))
-    kschur_h_expansion(4, (2, 2, 2))
-    assert (4, (2, 2, 2)) in certified and set(certified.values()) == {1}, certified
+    assert kschur_h_expansion(4, (2, 2, 2)) == {
+        (2, 2, 2): 1,
+        (3, 2, 1): -2,
+        (3, 3): 1,
+        (4, 1, 1): 1,
+        (4, 2): -1,
+    }
+    assert nilcoxeter._solve.cache_info().currsize == 0
+    nilcoxeter.clear_memo()
+
+
+def _dropping_lam(k, rest, i):
+    # h_2 s_(1) at k=3 without its own term s_(2,1)
+    return [nu for nu in pieri_partitions(k, rest, i) if nu != (2, 1)]
+
+
+def _adding_first_part_i(k, rest, i):
+    # every partition of the degree with first part i added: s_(2,2) and
+    # s_(2,1,1) at k=3 would then each be solved through the other
+    extra = {nu for nu in k_bounded_partitions(sum(rest) + i, k) if nu[0] == i}
+    return sorted(set(pieri_partitions(k, rest, i)) | extra)
+
+
+@pytest.mark.parametrize(
+    "lam, fake",
+    [((2, 1), _dropping_lam), ((2, 2), _adding_first_part_i)],
+    ids=["lam missing", "nu_1 <= lam_1"],
+)
+def test_h_expansion_rejects_bad_pieri_set(monkeypatch, lam, fake):
+    # a wrong k-Pieri set must raise at the step, not end in a wrong
+    # expansion or a recursion that never ends
+    monkeypatch.setattr(nilcoxeter, "pieri_partitions", fake)
+    nilcoxeter.clear_memo()
+    with pytest.raises(IdentityError, match="s_nu over"):
+        kschur_h_expansion(3, lam)
+    nilcoxeter.clear_memo()
 
 
 def test_grassmannians_are_built_once_for_the_solve_and_the_cache(monkeypatch, tmp_path):
@@ -402,18 +432,20 @@ def test_grassmannians_are_built_once_for_the_solve_and_the_cache(monkeypatch, t
 
 
 def _memo_sizes():
-    tables = (nilcoxeter._solve, nilcoxeter._grassmannians, h_words, cores._core)
+    tables = (
+        nilcoxeter._solve, nilcoxeter._h_expansion, nilcoxeter._grassmannians, h_words, cores._core
+    )
     return [table.cache_info().currsize for table in tables]
 
 
 def test_clear_memo_empties_every_table():
     nilcoxeter.clear_memo()
-    assert _memo_sizes() == [0, 0, 0, 0]
+    assert _memo_sizes() == [0] * 5
     kschur(3, (2, 1))
-    pieri_partitions(3, (2, 1), 2)
+    kschur_h_expansion(3, (2, 1))
     assert all(_memo_sizes()), _memo_sizes()
     nilcoxeter.clear_memo()
-    assert _memo_sizes() == [0, 0, 0, 0]
+    assert _memo_sizes() == [0] * 5
 
 
 def test_h_words_are_a_kept_tuple_and_still_range_checked():
@@ -443,20 +475,18 @@ def test_words_of_an_element_are_read_once(monkeypatch):
 
 
 def _twice_s1():
-    return 2 * kschur(3, (1,)), {(1,): 2}
+    return 2 * kschur(3, (1,))
 
 
 def _s2_plus_s11():
     # h_2 (s_2 + s_11) = s_22 + s_31 + s_211 at k=3: coefficient 1 on w_22
-    expansion = Counter(kschur_h_expansion(3, (2,)))
-    expansion.update(kschur_h_expansion(3, (1, 1)))
-    return kschur(3, (2,)) + kschur(3, (1, 1)), dict(expansion)
+    return kschur(3, (2,)) + kschur(3, (1, 1))
 
 
 @pytest.mark.parametrize(
     "lam, rest, fake",
     [
-        ((2, 1), (1,), lambda: (AlgebraElement.zero(3), {})),
+        ((2, 1), (1,), lambda: AlgebraElement.zero(3)),
         ((2, 1), (1,), _twice_s1),
         ((2, 2), (2,), _s2_plus_s11),
     ],

@@ -22,7 +22,7 @@ from kschur.reports import IdentityError
 
 real = nilcoxeter._solve
 nilcoxeter._solve = lambda k, lam: (
-    (nilcoxeter.AlgebraElement.zero(3), {}) if (k, lam) == (3, (3,)) else real(k, lam)
+    nilcoxeter.AlgebraElement.zero(3) if (k, lam) == (3, (3,)) else real(k, lam)
 )
 try:
     nilcoxeter.kschur(3, (2, 1))
