@@ -6,6 +6,8 @@ it is determined by the window [w(1), ..., w(k+1)].  Windows are a
 canonical form, one per group element, so equality, hashing and
 dictionary keying need no word rewriting.  The constructor checks a
 window; group operations derive windows from valid ones unchecked.
+`peel_descents`, the one smallest-descent peel (of `reduced_word` and the
+alcove walk), and `rotated`, the one Dynkin rotation, act on window lists.
 
 The group is generated by s_0, ..., s_k where s_i sends j to j+1 when
 j = i mod (k+1), to j-1 when j = i+1 mod (k+1), and fixes j otherwise.
@@ -14,6 +16,8 @@ j = i mod (k+1), to j-1 when j = i+1 mod (k+1), and fixes j otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 
@@ -32,11 +36,13 @@ class AffinePermutation:
     window: tuple[int, ...]
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"rank parameter must be >= 1, got {self.k}")
+        if type(self.k) is not int or self.k < 1:
+            raise ValueError(f"rank parameter must be an integer >= 1, got {self.k!r}")
         n = self.k + 1
         window = tuple(self.window)
         object.__setattr__(self, "window", window)
+        if any(type(a) is not int for a in window):
+            raise ValueError(f"window entries must be integers: {window}")
         if len(window) != n:
             raise ValueError(f"window needs {n} entries, got {len(window)}")
         if sorted(a % n for a in window) != list(range(n)):
@@ -119,26 +125,7 @@ class AffinePermutation:
         Deterministic; from_word(k, w.reduced_word()) == w and the word
         length equals w.length().
         """
-        win = list(self.window)
-        n = len(win)
-        letters = []
-        start = 1
-        while True:
-            # s_0 is a right descent iff w(0) > w(1), s_i iff w(i) > w(i+1)
-            if win[n - 1] - n > win[0]:
-                i = 0
-            else:
-                # no s_j with 0 < j < start is a descent: the last peel, s_i,
-                # was the smallest, and it moved only w(i), w(i+1), which no
-                # s_j with j < i - 1 compares (s_0 moves w(1): start over)
-                for i in range(start, n):
-                    if win[i - 1] > win[i]:
-                        break
-                else:
-                    return tuple(reversed(letters))
-            fold_reduced(win, (i,))
-            letters.append(i)
-            start = i - 1 if i > 1 else 1
+        return tuple(reversed(peel_descents(list(self.window), self.k + 1)))
 
     def inverse(self) -> "AffinePermutation":
         return self._derived(tuple(inverted(self.window)))
@@ -153,10 +140,10 @@ class AffinePermutation:
     def rotate_indices(self, m: int) -> "AffinePermutation":
         """Image under the Dynkin rotation s_i -> s_{i+m}.
 
-        On windows this is conjugation by j -> j + m, so the result does
-        not depend on a choice of reduced word.
+        On windows this is conjugation by j -> j + m (`rotated`: entry j is
+        w(j - m) + m), so the result does not depend on a choice of reduced word.
         """
-        return self._derived(tuple(self.value(j - m) + m for j in range(1, self.k + 2)))
+        return self._derived(rotated(self.window, m))
 
     def reflect_indices(self) -> "AffinePermutation":
         """Image under the Dynkin reflection s_i -> s_{-i}.
@@ -173,7 +160,7 @@ def fold_reduced(win: list[int], word: Iterable[int]) -> bool:
     shifted by k+1).  True iff every letter raised the length; at the first
     that does not, return False with that letter applied and the rest not,
     so a one-letter word is the step w -> w * s_i whichever way the length
-    goes.  The one swap rule of the group: a window list is all it touches."""
+    goes.  The one swap rule of the products: a window list is all it touches."""
     n = len(win)
     for i in word:
         if i:
@@ -208,6 +195,41 @@ def inverted(win: Sequence[int]) -> list[int]:
         q, b = divmod(a - 1, n)
         inv[b] = t - q * n
     return inv
+
+
+def peel_descents(win: list[int], period: int) -> list[int]:
+    """Peel the smallest right descent off a window list, in place, until it
+    is sorted; return the letters in peel order.  s_0 is a descent when
+    win[-1] - period > win[0] (its swap shifts the ends by the period), s_i
+    when win[i-1] > win[i].  With period k+1 the reversed letters are a
+    reduced word of w; the alcove walk runs it on a negated scaled point."""
+    n = len(win)
+    letters = []
+    start = 1
+    while True:
+        if win[-1] - period > win[0]:
+            win[0], win[-1] = win[-1] - period, win[0] + period
+            letters.append(0)
+            start = 1
+            continue
+        # no s_j with 0 < j < start is a descent: the last peel, s_i, was the
+        # smallest, and it moved only entries i, i+1, which no s_j with
+        # j < i - 1 compares (s_0 moves entry 1: start over)
+        for i in range(start, n):
+            if win[i - 1] > win[i]:
+                win[i - 1], win[i] = win[i], win[i - 1]
+                letters.append(i)
+                start = i - 1 if i > 1 else 1
+                break
+        else:
+            return letters
+
+
+def rotated(win: Sequence[int], m: int) -> tuple[int, ...]:
+    """The window of w under the Dynkin rotation s_i -> s_{i+m} (any integer m)."""
+    n = len(win)
+    m %= n
+    return (*map(add, win[n - m:], repeat(m - n)), *map(add, win[:n - m], repeat(m)))
 
 
 def rotate_word(word: Iterable[int], m: int, k: int) -> tuple[int, ...]:

@@ -7,8 +7,8 @@ its images under the group tile V, and each group element w is pinned
 down by the centroid of its alcove.  All arithmetic is exact: wall
 membership tests would be meaningless in floating point.  The public
 functions take and return Fractions; the greedy walk behind `alcove_of`
-and `pseudo_translation` runs on integers, the point scaled by a common
-denominator D, which puts the s_0 wall at D.
+and `pseudo_translation` is `affine.peel_descents` on integers, the negated
+point scaled by a common denominator D, which puts the s_0 wall at D.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Sequence
 
-from .affine import AffinePermutation
+from .affine import AffinePermutation, peel_descents
 from .reports import IdentityError
 
 Point = tuple[Fraction, ...]
@@ -133,40 +133,24 @@ def alcove_of(point: Sequence) -> AffinePermutation:
     record it.  The recorded word is reduced and the returned w
     satisfies: w applied to the point lands inside the fundamental
     alcove.  A point on any reflection hyperplane raises ValueError.
-    The walk runs on the point scaled by the lcm of its denominators.
+    The walk runs on the negated point scaled by the lcm of its denominators.
     """
     p = make_point(point)
     d = lcm(*(x.denominator for x in p))
-    return _walk([x.numerator * (d // x.denominator) for x in p], d)
+    return _walk([-x.numerator * (d // x.denominator) for x in p], d)
 
 
-def _walk(p: list[int], d: int) -> AffinePermutation:
-    """The greedy walk of `alcove_of` on a point scaled by d, so that the
-    s_0 wall sits at d; reflects p in place.  Off the walls the word it
+def _walk(q: list[int], d: int) -> AffinePermutation:
+    """The greedy walk of `alcove_of` on a negated point scaled by d: wall i
+    is violated exactly when s_i is a descent of q with period d, so the walk
+    is `peel_descents`, reflecting q in place.  Off the walls the word it
     records is reduced, which the fold that builds the element checks."""
-    n = len(p)
-    letters: list[int] = []
-    start = 1
-    while True:
-        if p[0] - p[n - 1] > d:
-            p[0], p[n - 1] = p[n - 1] + d, p[0] - d
-            letters.append(0)
-            start = 1
-            continue
-        # no wall j with 0 < j < start is violated: the last reflection, in
-        # wall i, was the smallest violated one and moved only p_i, p_(i+1),
-        # which no wall j < i - 1 compares (wall 0 moves p_1: start over)
-        for i in range(start, n):
-            if p[i - 1] < p[i]:
-                p[i - 1], p[i] = p[i], p[i - 1]
-                letters.append(i)
-                start = i - 1 if i > 1 else 1
-                break
-        else:
-            break
-    if any(p[i - 1] == p[i] for i in range(1, n)) or p[0] - p[n - 1] == d:
+    if len(q) < 2:
+        raise ValueError(f"a point needs at least 2 coordinates (k >= 1), got {len(q)}")
+    letters = peel_descents(q, d)
+    if any(q[i - 1] == q[i] for i in range(1, len(q))) or q[-1] - q[0] == d:
         raise ValueError("point on wall")
-    w = AffinePermutation.identity(n - 1).times_reduced(reversed(letters))
+    w = AffinePermutation.identity(len(q) - 1).times_reduced(reversed(letters))
     if w is None:
         raise IdentityError(f"the walk's word of {len(letters)} letters is not reduced")
     return w
@@ -177,16 +161,16 @@ def pseudo_translation(gamma: Sequence[int]) -> AffinePermutation:
     an integer weight (acting on other alcoves it translates them too,
     generally in different directions).
 
-    The walk and the certificate run on the target centroid scaled by
-    k+1: coordinate j of the centroid of w, times k+1, is k+1 - w(j)
-    (see `centroid`), and it must match the target modulo the diagonal.
+    The walk and the certificate run on the negated target centroid q scaled
+    by k+1: coordinate j of the centroid of w, times k+1, is k+1 - w(j) (see
+    `centroid`), so it is the target modulo the diagonal iff w(j) - q_j is constant.
     """
     if any(int(x) != x for x in gamma):
         raise ValueError(f"weight must be integral: {gamma}")
     n = len(gamma)
-    target = [n - 1 - t + n * int(x) for t, x in enumerate(gamma)]
-    w = _walk(list(target), n)
-    if len({n - a - b for a, b in zip(w.window, target)}) != 1:
+    q = [t + 1 - n - n * int(x) for t, x in enumerate(gamma)]
+    w = _walk(list(q), n)
+    if len({a - b for a, b in zip(w.window, q)}) != 1:
         target = add_points(fundamental_centroid(n - 1), gamma)
         raise IdentityError(f"alcove of {target} does not have it as centroid")
     return w

@@ -4,10 +4,10 @@ One expansion document per key (k, λ), in the schema of `--format json`,
 at <dir>/<k>/<comma-separated parts, or "empty">.json, where <dir> is
 $KSCHUR_CACHE_DIR or ~/.cache/kschur.  A put writes a temp file and
 renames it into place, so it touches only its own key.  The cache is
-advisory: a file that does not parse, holds another key, holds a term
-whose reduced word is not of length |λ|, is not fixed by the Dynkin
-rotation u_i -> u_{i+1} (which fixes every h_i, so every s_λ), or fails
-the certificate (coefficient δ_{λν} on every Grassmannian w_ν with
+advisory: a file that does not parse, holds another key, holds a term whose
+reduced word is not of length |λ|, is not fixed by the Dynkin rotation
+u_i -> u_{i+1} (`affine.rotated`, which fixes every h_i, so every s_λ), or
+fails the certificate (coefficient δ_{λν} on every Grassmannian w_ν with
 |ν| = |λ|) is ignored with a warning on stderr and recomputed, and a put
 that cannot write (say, the directory is a regular file) only warns.
 
@@ -25,22 +25,15 @@ import contextlib
 import os
 import sys
 import tempfile
-from operator import add
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .affine import rotated
 from .documents import ExpansionDocument
 from .nilcoxeter import certify
 from .reports import IdentityError
 
 ENV_VAR = "KSCHUR_CACHE_DIR"
-
-
-def _rotated(k: int, terms: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
-    """The window-keyed terms under the Dynkin rotation s_i -> s_{i+1}, which
-    takes the window (a_1, ..., a_{k+1}) to (a_{k+1} - k, a_1 + 1, ..., a_k + 1)."""
-    ones = (1,) * k  # map stops at the shorter input, so a_{k+1} gets no 1
-    return {(w[-1] - k, *map(add, w, ones)): c for w, c in terms.items()}
 
 
 class ExpansionCache:
@@ -63,7 +56,7 @@ class ExpansionCache:
             if stray := [t.word for t in doc.terms if len(t.word) != sum(lam)]:
                 raise ValueError(f"the term of word {stray[0]} is not of degree {sum(lam)}")
             terms = {t.window: t.coeff for t in doc.terms}
-            if _rotated(k, terms) != terms:
+            if {rotated(w, 1): c for w, c in terms.items()} != terms:
                 raise ValueError("the terms are not fixed by the Dynkin rotation")
             certify(k, lam, terms)
         except (FileNotFoundError, NotADirectoryError):

@@ -10,6 +10,8 @@ from kschur.affine import (
     reflect_word,
     rotate_word,
 )
+from kschur.documents import ExpansionDocument
+from kschur.nilcoxeter import AlgebraElement
 
 
 def random_element(rng, k, max_len=12):
@@ -31,6 +33,26 @@ def test_window_validation():
         AffinePermutation(4, (2, 3, 4, 5, 6))  # wrong sum
     with pytest.raises(ValueError):
         AffinePermutation(0, (1,))
+
+
+# a float or bool compares equal to an int, so each of these once built an
+# element; a document of the float window then wrote "window":[2.0,1,3],
+# which its own reader refused
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: AffinePermutation(2, (2.0, 1, 3)),
+        lambda: AffinePermutation(2, (True, 2, 3)),
+        lambda: AffinePermutation(True, (1, 2)),
+        lambda: ExpansionDocument.from_element(
+            (1,), AlgebraElement.basis(AffinePermutation(2, (2.0, 1, 3)))
+        ).to_json(),
+    ],
+    ids=["float entry", "bool entry", "bool k", "document round trip"],
+)
+def test_window_constructor_requires_int_entries_and_rank(build):
+    with pytest.raises(ValueError, match="integer"):
+        build()
 
 
 def test_right_mult_sequence_k4():

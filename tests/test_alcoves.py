@@ -4,11 +4,12 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from pathlib import Path
 
 import pytest
 
-from kschur.affine import AffinePermutation
+from kschur.affine import AffinePermutation, peel_descents
 from kschur.alcoves import (
     act,
     act_linear,
@@ -352,8 +353,9 @@ def test_alcove_of_matches_fraction_oracle():
 
 # The integer walk as it ran before it resumed its scan after a swap:
 # every step rescans the walls from the first, and the element is built
-# letter by letter.  The reference the resuming walk must reproduce.
-def rescan_walk(p, d):
+# letter by letter.  The reference the resuming walk must reproduce;
+# `rescan_letters` is its loop, which records the letters on any point.
+def rescan_letters(p, d):
     n = len(p)
     letters = []
     while True:
@@ -367,7 +369,12 @@ def rescan_walk(p, d):
                 letters.append(i)
                 break
         else:
-            break
+            return letters
+
+
+def rescan_walk(p, d):
+    n = len(p)
+    letters = rescan_letters(p, d)
     if any(p[i - 1] == p[i] for i in range(1, n)) or p[0] - p[n - 1] == d:
         raise ValueError("point on wall")
     return AffinePermutation.from_word(n - 1, reversed(letters))
@@ -386,6 +393,37 @@ def test_pseudo_translation_matches_rescan_walk():
     for _ in range(2000):
         gamma = tuple(rng.randrange(-4, 5) for _ in range(rng.randint(2, 7)))
         assert pseudo_translation(gamma).window == rescan_pseudo_translation(gamma).window, gamma
+
+
+def test_peel_descents_matches_rescan_letters():
+    # wall i of the point scaled by d is violated exactly when s_i is a
+    # descent of the negated list with period d, letter for letter
+    rng = random.Random(13)
+    periods = set()
+    for _ in range(600):
+        k = rng.randint(1, 6)
+        p = [Fraction(rng.randrange(-30, 31), rng.choice((1, 2, 3, 4, 6, 7, 9))) for _ in range(k + 1)]
+        d = lcm(*(x.denominator for x in p))
+        periods.add(d == k + 1)
+        scaled = [int(x * d) for x in p]
+        negated = [-a for a in scaled]
+        assert peel_descents(negated, d) == rescan_letters(scaled, d), p
+        assert negated == [-a for a in scaled] == sorted(negated), p
+    assert periods == {False, True}
+    # windows with period k+1, long enough that the peel resumes mid-window
+    for _ in range(300):
+        k = rng.randint(1, 10)
+        w = random_element(rng, k, max_len=60)
+        win = list(w.window)
+        assert peel_descents(win, k + 1) == rescan_letters([-a for a in w.window], k + 1), w
+        assert win == list(AffinePermutation.identity(k).window)
+
+
+@pytest.mark.parametrize("point", [(), (0,)])
+@pytest.mark.parametrize("function", [alcove_of, pseudo_translation, translation])
+def test_a_point_needs_two_coordinates(function, point):
+    with pytest.raises(ValueError, match="at least 2 coordinates"):
+        function(point)
 
 
 def test_walk_refuses_a_word_that_is_not_reduced(monkeypatch):

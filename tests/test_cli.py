@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from kschur import cli, cores, nilcoxeter
-from kschur.affine import AffinePermutation
-from kschur.cache import ExpansionCache, _rotated
+from kschur.affine import AffinePermutation, rotate_word, rotated
+from kschur.cache import ExpansionCache
 from kschur.cli import (
     CHAIN_CEILING,
     CORE_SIZE_CEILING,
@@ -901,12 +901,15 @@ def test_cache_term_of_another_degree_recomputes(tmp_path, capsys, monkeypatch):
 
 
 def test_cache_rotation_is_the_dynkin_rotation_of_each_window():
+    # the cache checks its terms with affine.rotated(window, 1)
     rng = random.Random(5)
     for k in range(1, 6):
-        words = [[rng.randrange(k + 1) for _ in range(rng.randrange(6))] for _ in range(8)]
-        terms = {AffinePermutation.from_word(k, word): rng.randint(1, 9) for word in words}
-        windows = {w.window: c for w, c in terms.items()}
-        assert _rotated(k, windows) == {w.rotate_indices(1).window: c for w, c in terms.items()}
+        for _ in range(8):
+            word = [rng.randrange(k + 1) for _ in range(rng.randrange(6))]
+            window = AffinePermutation.from_word(k, word).window
+            for m in range(-(k + 1), 2 * (k + 1) + 1):
+                expected = AffinePermutation.from_word(k, rotate_word(word, m, k)).window
+                assert rotated(window, m) == expected, (window, m)
 
 
 @pytest.mark.parametrize("disorder", ["repeated", "swapped"])
