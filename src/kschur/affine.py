@@ -21,6 +21,11 @@ from operator import add
 from typing import Iterable, Optional, Sequence
 
 
+def _check_rank(k: object) -> None:
+    if type(k) is not int or k < 1:
+        raise ValueError(f"rank parameter must be an integer >= 1, got {k!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class AffinePermutation:
     """Element of the affine symmetric group generated by s_0, ..., s_k.
@@ -36,8 +41,7 @@ class AffinePermutation:
     window: tuple[int, ...]
 
     def __post_init__(self):
-        if type(self.k) is not int or self.k < 1:
-            raise ValueError(f"rank parameter must be an integer >= 1, got {self.k!r}")
+        _check_rank(self.k)
         n = self.k + 1
         window = tuple(self.window)
         object.__setattr__(self, "window", window)
@@ -59,7 +63,13 @@ class AffinePermutation:
 
     @classmethod
     def identity(cls, k: int) -> "AffinePermutation":
-        return cls(k, tuple(range(1, k + 2)))
+        """The identity of rank k: only k is checked, since the window is
+        valid as built."""
+        _check_rank(k)
+        e = object.__new__(cls)
+        object.__setattr__(e, "k", k)
+        object.__setattr__(e, "window", tuple(range(1, k + 2)))
+        return e
 
     @classmethod
     def from_word(cls, k: int, word: Iterable[int]) -> "AffinePermutation":
@@ -240,9 +250,3 @@ def rotate_word(word: Iterable[int], m: int, k: int) -> tuple[int, ...]:
 def reflect_word(word: Iterable[int], k: int) -> tuple[int, ...]:
     """Negate every letter of a word mod (k+1)."""
     return tuple((-i) % (k + 1) for i in word)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .affine import AffinePermutation, peel_descents
 from .reports import IdentityError
@@ -33,16 +33,27 @@ def add_points(p: Sequence, q: Sequence) -> Point:
     return tuple(Fraction(a) + Fraction(b) for a, b in zip(p, q))
 
 
+def _wall_rank(i: int, p: Sequence) -> int:
+    """The rank k = len(p) - 1 of a point, once it is checked that k >= 1
+    and that i names one of the walls 0..k."""
+    k = len(p) - 1
+    if k < 1:
+        raise ValueError(f"a point needs at least 2 coordinates (k >= 1), got {len(p)}")
+    if not 0 <= i <= k:
+        raise ValueError(f"wall index must be in 0..{k}, got {i}")
+    return k
+
+
 def reflect(i: int, p: Sequence) -> Point:
     """The affine reflection of a point across the i-th wall.
 
     For i != 0 this swaps coordinates i and i+1; for i = 0 it exchanges
     the first and last coordinates with a unit shift.
     """
-    n = len(p)
+    k = _wall_rank(i, p)
     q = list(make_point(p))
     if i == 0:
-        q[0], q[n - 1] = q[n - 1] + 1, q[0] - 1
+        q[0], q[k] = q[k] + 1, q[0] - 1
     else:
         q[i - 1], q[i] = q[i], q[i - 1]
     return tuple(q)
@@ -50,7 +61,17 @@ def reflect(i: int, p: Sequence) -> Point:
 
 def reflect_linear(i: int, p: Sequence) -> Point:
     """Linear part of reflect: the plain coordinate swap, no shift."""
-    return act_linear(AffinePermutation.identity(len(p) - 1).right_mult(i), p)
+    return act_linear(AffinePermutation.identity(_wall_rank(i, p)).right_mult(i), p)
+
+
+def _sources(w: AffinePermutation, p: Sequence) -> Iterator[tuple[int, int]]:
+    """(q, t) with w^(-1)(j) = t + 1 + q(k+1) and t in 0..k, for j = 1..k+1,
+    once the point is checked to have k+1 coordinates."""
+    n = w.k + 1
+    if len(p) != n:
+        raise ValueError(f"a point for rank {w.k} needs {n} coordinates, got {len(p)}")
+    winv = w.inverse()
+    return (divmod(winv.value(j) - 1, n) for j in range(1, n + 1))
 
 
 def act(w: AffinePermutation, p: Sequence) -> Point:
@@ -61,20 +82,12 @@ def act(w: AffinePermutation, p: Sequence) -> Point:
     inverse: coordinate j of the result is p_t - q where
     w^(-1)(j) = t + q(k+1) with t in 1..k+1.
     """
-    n = w.k + 1
-    winv = w.inverse()
-    out = []
-    for j in range(1, n + 1):
-        q, t = divmod(winv.value(j) - 1, n)
-        out.append(Fraction(p[t]) - q)
-    return tuple(out)
+    return tuple(Fraction(p[t]) - q for q, t in _sources(w, p))
 
 
 def act_linear(w: AffinePermutation, p: Sequence) -> Point:
     """Linear part of act; permutes coordinates, preserving 0/1 vectors."""
-    n = w.k + 1
-    winv = w.inverse()
-    return tuple(Fraction(p[(winv.value(j) - 1) % n]) for j in range(1, n + 1))
+    return tuple(Fraction(p[t]) for _, t in _sources(w, p))
 
 
 def label(weight: Sequence[int]) -> int:
@@ -195,9 +208,3 @@ def gamma_vectors(k: int, c: int) -> list[Weight]:
             v[t] = 1
         out.append(tuple(v))
     return out
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -4,12 +4,13 @@ Partitions are tuples of weakly decreasing positive integers without
 trailing zeros; () is the empty partition.  A (k+1)-core is a partition
 with no cell of hook length exactly k+1 (equivalently, no removable rim
 hook of length k+1).  `is_core` reads this off the beta numbers of the
-rows, on an abacus with k+1 runners, in O(rows); only `core_to_bounded`
-builds the hook table.  The affine symmetric group acts on cores through
-the residues (col - row) mod (k+1) of the cells: every action validates
-its partition and indices once, at the boundary, and then steps letter
-by letter through `_apply_letters`, the one loop over `_s_step`.  The
-core of each k-bounded partition is acted out once per process and kept.
+rows, on an abacus with k+1 runners, in O(rows), and `core_to_bounded`
+counts each row's hooks of length at most k off them too.  The affine
+symmetric group acts on cores through the residues (col - row) mod (k+1)
+of the cells: every action validates its partition and indices once, at
+the boundary, and then steps letter by letter through `_apply_letters`,
+the one loop over `_s_step`.  The core of each k-bounded partition is
+acted out once per process and kept.
 """
 
 from __future__ import annotations
@@ -56,12 +57,14 @@ def as_bounded(parts: Iterable[int], k: int) -> Partition:
     return parts
 
 
-def conjugate(parts: Partition) -> Partition:
-    """Transpose of the diagram.
+def conjugate(parts: Sequence[int]) -> Partition:
+    """Transpose of the diagram; parts that are not a partition raise
+    ValueError.
 
     >>> conjugate((4, 2, 1))
     (3, 2, 1, 1)
     """
+    parts = as_partition(parts)
     if not parts:
         return ()
     return tuple(sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1))
@@ -86,13 +89,6 @@ def content(row: int, col: int, k: int) -> int:
     3
     """
     return (col - row) % (k + 1)
-
-
-def _hooks(parts: Partition) -> list[list[int]]:
-    """Hook lengths of the cells, row by row: cell (i, j), from 0, has
-    arm parts[i] - j - 1 and leg conj[j] - i - 1."""
-    conj = conjugate(parts)
-    return [[p - j + conj[j] - i - 1 for j in range(p)] for i, p in enumerate(parts)]
 
 
 def _is_core(parts: Partition, k: int) -> bool:
@@ -267,13 +263,19 @@ def _core(parts: Partition, k: int) -> Partition:
 
 
 def core_to_bounded(parts: Sequence[int], k: int) -> Partition:
-    """The k-bounded partition corresponding to a (k+1)-core: row i keeps
-    its cells of hook length at most k."""
+    """The k-bounded partition corresponding to a (k+1)-core: row r keeps
+    its cells of hook length at most k.  Read off the beta numbers (see
+    `_is_core`): the hooks of row r, whose bead is b = parts[r] - r, are
+    b - x for the gaps x < b, and no gap lies at or below -len(parts)."""
     parts = as_partition(parts)
-    hooks = _hooks(parts)
-    if any(k + 1 in row for row in hooks):
+    if not _is_core(parts, k):
         raise ValueError(f"{parts} is not a {k + 1}-core")
-    return as_partition(sum(1 for h in row if h <= k) for row in hooks)
+    beads = {p - r for r, p in enumerate(parts)}
+    floor = 1 - len(parts)
+    return as_partition(
+        sum(1 for x in range(max(p - r - k, floor), p - r) if x not in beads)
+        for r, p in enumerate(parts)
+    )
 
 
 def partitions_of(n: int, max_part: Optional[int] = None) -> Iterator[Partition]:
@@ -306,9 +308,3 @@ def partitions_in_box(cols: int, rows: int) -> list[Partition]:
 
     key = lambda t: tuple(reversed(t + (0,) * (rows - len(t))))
     return sorted(gen(cols, rows), key=key)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -291,29 +291,22 @@ def act_on_core(
     """Linear action on the free abelian group with basis the cores.
 
     x is an AlgebraElement, or a word of generator indices with k given
-    explicitly.  Returns the formal sum as a dict core -> coefficient.
+    explicitly.  Returns the formal sum as a dict core -> coefficient.  An
+    element acts by the reduced words of its terms, which it reads once and
+    keeps, so acting on many cores reads them once.
     """
     core = as_partition(core)
     if isinstance(x, AlgebraElement):
-        return _act(x._words(), core, x.k)
+        out: dict[Partition, int] = {}
+        for word, c in x._words():
+            res = _apply_letters(core, _u_letters(word), x.k)
+            if res is not None:
+                out[res] = out.get(res, 0) + c
+        return {kappa: c for kappa, c in out.items() if c}
     if k is None:
         raise ValueError("k is required when acting by a word")
     res = apply_word_nil(core, x, k)
     return {} if res is None else {res: 1}
-
-
-def _act(
-    pairs: Sequence[tuple[Sequence[int], int]], core: Partition, k: int
-) -> dict[Partition, int]:
-    """act_on_core on a validated core by (reduced word, coefficient) pairs
-    of an element of rank k, whose letters lie in 0..k, so that a caller
-    acting on many cores reads the words of an element once."""
-    out: dict[Partition, int] = {}
-    for word, c in pairs:
-        res = _apply_letters(core, _u_letters(word), k)
-        if res is not None:
-            out[res] = out.get(res, 0) + c
-    return {kappa: c for kappa, c in out.items() if c}
 
 
 def clear_memo() -> None:
@@ -466,9 +459,3 @@ def verify_pieri(k: int, max_size: int) -> Report:
         for n in range(max_size + 1)
         for lam in k_bounded_partitions(n, k)
     ))
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

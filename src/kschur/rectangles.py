@@ -46,7 +46,7 @@ from .cores import (
 )
 from .nilcoxeter import (
     AlgebraElement,
-    _act,
+    act_on_core,
     cyclically_decreasing_word,
     distinct_sum,
     kschur,
@@ -190,28 +190,16 @@ def transpose_weight(rect: Rectangle, gamma: Sequence[int]) -> tuple[int, ...]:
 def act_on_partition(rect: Rectangle, lam: Sequence[int]) -> Partition:
     """Apply the rectangle element to the core of a k-bounded partition.
 
-    Exactly one term survives and the result is the core of the sorted
-    union of the partition with the rectangle.
+    Exactly one term survives, with coefficient one, and it is the core of
+    the sorted union of the partition with the rectangle; anything else
+    raises IdentityError.
     """
-    return _act_on_partition(rect, by_readings(rect)._words(), lam)
-
-
-def _act_on_partition(
-    rect: Rectangle, pairs: Sequence[tuple[Sequence[int], int]], lam: Sequence[int]
-) -> Partition:
-    """act_on_partition by the (reduced word, coefficient) pairs of the
-    rectangle element."""
     k = rect.k
     lam = as_partition(lam)
-    image = _act(pairs, bounded_to_core(lam, k), k)
-    if len(image) != 1:
-        raise IdentityError(f"{rect} on {lam}: {len(image)} terms survive, expected 1: {image}")
-    (core, coeff), = image.items()
-    if coeff != 1:
-        raise IdentityError(f"{rect} on {lam}: coefficient {coeff}, expected 1")
-    expected = bounded_to_core(union_partitions(lam, rect.partition()), k)
-    if core != expected:
-        raise IdentityError(f"{rect} on {lam}: core {core}, expected {expected}")
+    image = act_on_core(by_readings(rect), bounded_to_core(lam, k))
+    core = bounded_to_core(union_partitions(lam, rect.partition()), k)
+    if image != {core: 1}:
+        raise IdentityError(f"{rect} on {lam}: image {image}, expected {{{core}: 1}}")
     return core
 
 
@@ -263,15 +251,14 @@ def verify_main(rect: Rectangle, action_size: int = 4) -> Report:
         }
 
     def action() -> tuple[bool, dict]:
-        pairs = by_readings(rect)._words()
+        element = by_readings(rect)
         failures = []
         count = 0
         for n in range(action_size + 1):
             for lam in k_bounded_partitions(n, k):
                 count += 1
-                try:
-                    _act_on_partition(rect, pairs, lam)
-                except IdentityError:
+                core = bounded_to_core(union_partitions(lam, rect.partition()), k)
+                if act_on_core(element, bounded_to_core(lam, k)) != {core: 1}:
                     failures.append(list(lam))
         return not failures, {"partitions_checked": count, "failures": failures}
 

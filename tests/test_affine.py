@@ -55,6 +55,19 @@ def test_window_constructor_requires_int_entries_and_rank(build):
         build()
 
 
+@pytest.mark.parametrize("k", [0, True, 2.0])
+def test_identity_checks_only_its_rank(k, monkeypatch):
+    with pytest.raises(ValueError) as constructor:
+        AffinePermutation(k, (1, 2))
+    with pytest.raises(ValueError) as identity:
+        AffinePermutation.identity(k)
+    assert str(identity.value) == str(constructor.value)
+    # the window identity builds is valid as built, so it is never checked
+    monkeypatch.setattr(AffinePermutation, "__post_init__", lambda self: pytest.fail("checked"))
+    e = AffinePermutation.identity(3)
+    assert e.window == (1, 2, 3, 4) and e.length() == 0
+
+
 def test_right_mult_sequence_k4():
     # identity times s_2 s_1 s_3 s_2 s_4 s_3, one generator at a time
     w = AffinePermutation.identity(4)

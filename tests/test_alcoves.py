@@ -27,6 +27,7 @@ from kschur.alcoves import (
     simple_root,
     translation,
 )
+from kschur.cores import conjugate
 from kschur.reports import IdentityError
 
 
@@ -424,6 +425,33 @@ def test_peel_descents_matches_rescan_letters():
 def test_a_point_needs_two_coordinates(function, point):
     with pytest.raises(ValueError, match="at least 2 coordinates"):
         function(point)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: reflect(3, (3, 2, 1)),
+        lambda: reflect(-1, (3, 2, 1)),
+        lambda: reflect(0, (1,)),
+        lambda: reflect_linear(3, (3, 2, 1)),
+        lambda: reflect_linear(-1, (3, 2, 1)),
+        lambda: act(AffinePermutation.identity(2), (1, 2, 3, 4)),
+        lambda: act(AffinePermutation.identity(2), (1, 2)),
+        lambda: act_linear(AffinePermutation.identity(2), (1, 2, 3, 4)),
+        lambda: act_linear(AffinePermutation.identity(2), (1, 2)),
+        lambda: conjugate((1, 3)),
+        lambda: conjugate((2, -1)),
+    ],
+    ids=[
+        "reflect index k+1", "reflect index -1", "reflect one coordinate",
+        "reflect_linear index k+1", "reflect_linear index -1",
+        "act long point", "act short point", "act_linear long point",
+        "act_linear short point", "conjugate increasing", "conjugate negative",
+    ],
+)
+def test_malformed_input_raises_value_error(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_walk_refuses_a_word_that_is_not_reduced(monkeypatch):

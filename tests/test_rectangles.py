@@ -325,6 +325,27 @@ def test_act_on_partition_examples():
     assert act_on_partition(rect, (1,)) == bounded_to_core((2, 2, 2, 1), 4)
 
 
+@pytest.mark.parametrize("broken", [False, True], ids=["rectangle", "unit"])
+def test_action_check_fails_where_act_on_partition_raises(broken, monkeypatch):
+    rect = Rectangle(3, 2, 2)
+    if broken:  # the unit moves no core, so every partition fails
+        monkeypatch.setattr(rectangles, "by_readings", lambda rect: AlgebraElement.unit(rect.k))
+    calls = []
+    real = rectangles.act_on_core
+    monkeypatch.setattr(rectangles, "act_on_core", lambda *args: calls.append(args) or real(*args))
+    (action,) = [c for c in verify_main(rect).checks if c.name.startswith("single-term action")]
+    checked = [lam for n in range(5) for lam in k_bounded_partitions(n, 3)]
+    assert len(calls) == action.details["partitions_checked"] == len(checked)
+    raising = []
+    for lam in checked:
+        try:
+            act_on_partition(rect, lam)
+        except IdentityError:
+            raising.append(list(lam))
+    assert action.details["failures"] == raising
+    assert action.passed is not broken and bool(raising) is broken
+
+
 def test_act_on_partition_single_term_exhaustive():
     for k in range(1, 5):
         for rect in all_rectangles(k):
