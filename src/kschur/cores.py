@@ -4,18 +4,17 @@ Partitions are tuples of weakly decreasing positive integers without
 trailing zeros; () is the empty partition.  A (k+1)-core is a partition
 with no cell of hook length exactly k+1 (equivalently, no removable rim
 hook of length k+1).  `is_core` reads this off the beta numbers of the
-rows, on an abacus with k+1 runners, in O(rows), and `core_to_bounded`
-counts each row's hooks of length at most k off them too.  The affine
-symmetric group acts on cores through the residues (col - row) mod (k+1)
-of the cells: every action validates its partition and indices once, at
-the boundary, and then steps letter by letter through `_apply_letters`,
-the one loop over `_s_step`.  The core of each k-bounded partition is
-acted out once per process and kept.
+rows, on an abacus with k+1 runners, in O(rows), and the bijection with
+k-bounded partitions reads each row's hooks of length at most k off them
+too, both ways.  The affine symmetric group acts on cores through the
+residues (col - row) mod (k+1) of the cells: every action validates its
+partition and indices once, at the boundary, and then steps letter by
+letter through `_apply_letters`, the one loop over `_s_step`, which
+`word_images` runs for each word of an element.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .affine import AffinePermutation
@@ -32,8 +31,11 @@ def clip(value: object) -> str:
 
 
 def as_partition(seq: Iterable[int]) -> Partition:
-    """Validate and normalize a partition, dropping trailing zeros."""
+    """Validate and normalize a partition, dropping trailing zeros; every
+    part must have type int (a float or bool compares equal to one)."""
     parts = tuple(seq)
+    if any(type(p) is not int for p in parts):
+        raise ValueError(f"partition parts must be integers: {clip(parts)}")
     end = len(parts)
     while end and parts[end - 1] == 0:
         end -= 1
@@ -241,41 +243,56 @@ def w_of_partition(parts: Sequence[int], k: int) -> AffinePermutation:
     return w
 
 
+def word_images(
+    core: Partition, words: Iterable[tuple[Sequence[int], int]], k: int
+) -> dict[Partition, int]:
+    """{image: coefficient} of a validated core under the (word of u_i,
+    coefficient) pairs, indices in 0..k: a word that kills the core is
+    dropped, and distinct group elements never carry one core to the same
+    core, so a repeated image raises IdentityError."""
+    images: dict[Partition, int] = {}
+    for word, c in words:
+        image = _apply_letters(core, _u_letters(word), k)
+        if image is None:
+            continue
+        if image in images:
+            raise IdentityError(f"word {word} repeats the image {image} of {core} at k={k}")
+        images[image] = c
+    return images
+
+
+def _short_hooks(beads: set[int], bead: int, k: int, rows: int) -> int:
+    """The hooks of length at most k of the row with the given bead, in a
+    partition of the given number of rows whose beads lie in the set (see
+    `_is_core`): the gaps x < bead give the hooks bead - x, and no gap lies
+    at or below -rows."""
+    return sum(1 for x in range(max(bead - k, 1 - rows), bead) if x not in beads)
+
+
 def bounded_to_core(parts: Sequence[int], k: int) -> Partition:
-    """The (k+1)-core corresponding to a k-bounded partition.
-
-    Computed by acting on the empty core with the reading word of the
-    partition; every step adds at least one corner.  Each core is acted
-    out once per process (see `_core`).
-    """
-    return _core(as_bounded(parts, k), k)
-
-
-@functools.cache
-def _core(parts: Partition, k: int) -> Partition:
-    """bounded_to_core of a validated k-bounded partition, kept until
-    `nilcoxeter.clear_memo`; a partition whose word kills the core caches
-    nothing."""
-    core = _apply_letters((), _u_letters(_skew_reading_word(parts, (), k)), k)
-    if core is None:
-        raise IdentityError(f"the reading word of {parts} kills the empty {k + 1}-core")
-    return core
+    """The (k+1)-core corresponding to a k-bounded partition, the inverse
+    of `core_to_bounded`: from the last row up, the bead of row r is the
+    smallest one above the bead below whose short hooks number parts[r]
+    (a larger bead with as many leaves a hook of length k+1)."""
+    parts = as_bounded(parts, k)
+    beads: set[int] = set()
+    bead = -len(parts)
+    for r in range(len(parts) - 1, -1, -1):
+        bead += 1
+        while _short_hooks(beads, bead, k, len(parts)) != parts[r]:
+            bead += 1
+        beads.add(bead)
+    return tuple(b + r for r, b in enumerate(sorted(beads, reverse=True)))
 
 
 def core_to_bounded(parts: Sequence[int], k: int) -> Partition:
-    """The k-bounded partition corresponding to a (k+1)-core: row r keeps
-    its cells of hook length at most k.  Read off the beta numbers (see
-    `_is_core`): the hooks of row r, whose bead is b = parts[r] - r, are
-    b - x for the gaps x < b, and no gap lies at or below -len(parts)."""
+    """The k-bounded partition corresponding to a (k+1)-core: row r, whose
+    bead is parts[r] - r, keeps its cells of hook length at most k."""
     parts = as_partition(parts)
     if not _is_core(parts, k):
         raise ValueError(f"{parts} is not a {k + 1}-core")
     beads = {p - r for r, p in enumerate(parts)}
-    floor = 1 - len(parts)
-    return as_partition(
-        sum(1 for x in range(max(p - r - k, floor), p - r) if x not in beads)
-        for r, p in enumerate(parts)
-    )
+    return as_partition(_short_hooks(beads, p - r, k, len(parts)) for r, p in enumerate(parts))
 
 
 def partitions_of(n: int, max_part: Optional[int] = None) -> Iterator[Partition]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
-from .affine import AffinePermutation, fold_reduced
+from .affine import AffinePermutation, _check_rank, fold_reduced
 from .cores import as_bounded
 from .nilcoxeter import AlgebraElement
 from .rectangles import Rectangle
@@ -95,14 +95,11 @@ class ExpansionDocument:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExpansionDocument":
-        k = _integer(data["k"])
-        if k < 1:
-            raise ValueError(f"rank parameter must be >= 1, got {k}")
+        k = data["k"]
+        _check_rank(k)
         raw_index = data["index"]
         if isinstance(raw_index, dict):
-            index: Index = Rectangle(
-                k, cols=_integer(raw_index["cols"]), rows=_integer(raw_index["rows"])
-            )
+            index: Index = Rectangle(k, cols=raw_index["cols"], rows=raw_index["rows"])
         else:
             index = _integers(raw_index)
             if as_bounded(index, k) != index:

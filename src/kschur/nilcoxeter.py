@@ -23,12 +23,9 @@ import functools
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from . import cores
 from .affine import AffinePermutation, fold_reduced, fold_reduced_left
 from .cores import (
     Partition,
-    _apply_letters,
-    _u_letters,
     apply_word_nil,
     as_bounded,
     as_partition,
@@ -38,6 +35,7 @@ from .cores import (
     reading_word,
     union_partitions,
     w_of_partition,
+    word_images,
 )
 from .reports import IdentityError, Report, timed
 
@@ -293,16 +291,11 @@ def act_on_core(
     x is an AlgebraElement, or a word of generator indices with k given
     explicitly.  Returns the formal sum as a dict core -> coefficient.  An
     element acts by the reduced words of its terms, which it reads once and
-    keeps, so acting on many cores reads them once.
+    keeps, so acting on many cores reads them once; distinct terms carry a
+    core to distinct cores (see `cores.word_images`).
     """
-    core = as_partition(core)
     if isinstance(x, AlgebraElement):
-        out: dict[Partition, int] = {}
-        for word, c in x._words():
-            res = _apply_letters(core, _u_letters(word), x.k)
-            if res is not None:
-                out[res] = out.get(res, 0) + c
-        return {kappa: c for kappa, c in out.items() if c}
+        return word_images(as_partition(core), x._words(), x.k)
     if k is None:
         raise ValueError("k is required when acting by a word")
     res = apply_word_nil(core, x, k)
@@ -311,13 +304,11 @@ def act_on_core(
 
 def clear_memo() -> None:
     """Empty every per-process table: the solve, the h-expansions, the
-    Grassmannian tables, the words of each h_i and the core of each
-    k-bounded partition."""
+    Grassmannian tables and the words of each h_i."""
     _solve.cache_clear()
     _h_expansion.cache_clear()
     _grassmannians.cache_clear()
     h_words.cache_clear()
-    cores._core.cache_clear()
 
 
 def kschur(k: int, lam: Sequence[int]) -> AlgebraElement:
@@ -426,17 +417,9 @@ def pieri_partitions(k: int, lam: Sequence[int], i: int) -> list[Partition]:
     """The partitions appearing in h_i times the k-Schur function of lam:
     one for each i-subset of generator indices whose cyclically
     decreasing product acts without dying on the core of lam."""
-    lam = as_bounded(lam, k)
     core = bounded_to_core(lam, k)
-    seen: set[Partition] = set()
-    for word in h_words(k, i):
-        res = _apply_letters(core, _u_letters(word), k)
-        if res is not None:
-            mu = core_to_bounded(res, k)
-            if mu in seen:
-                raise IdentityError(f"h_{i} on {lam}: word {word} repeats {mu}")
-            seen.add(mu)
-    return sorted(seen)
+    images = word_images(core, ((word, 1) for word in h_words(k, i)), k)
+    return sorted(core_to_bounded(image, k) for image in images)
 
 
 def verify_pieri(k: int, max_size: int) -> Report:

@@ -26,7 +26,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .affine import AffinePermutation, rotate_word
+from .affine import AffinePermutation, _check_rank, rotate_word
 from .alcoves import (
     act_linear,
     fundamental_weight,
@@ -64,12 +64,12 @@ class Rectangle:
     rows: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"rank parameter must be >= 1, got {self.k}")
-        if self.cols < 1 or self.rows < 1 or self.cols + self.rows != self.k + 1:
+        _check_rank(self.k)
+        sides = (self.cols, self.rows)
+        if any(type(n) is not int or n < 1 for n in sides) or sum(sides) != self.k + 1:
             raise ValueError(
-                f"need cols, rows >= 1 with cols + rows = {self.k + 1}: "
-                f"got cols={self.cols}, rows={self.rows}"
+                f"need integers cols, rows >= 1 with cols + rows = {self.k + 1}: "
+                f"got cols={self.cols!r}, rows={self.rows!r}"
             )
 
     @classmethod

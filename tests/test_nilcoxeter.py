@@ -433,19 +433,29 @@ def test_grassmannians_are_built_once_for_the_solve_and_the_cache(monkeypatch, t
 
 def _memo_sizes():
     tables = (
-        nilcoxeter._solve, nilcoxeter._h_expansion, nilcoxeter._grassmannians, h_words, cores._core
+        nilcoxeter._solve, nilcoxeter._h_expansion, nilcoxeter._grassmannians, h_words
     )
     return [table.cache_info().currsize for table in tables]
 
 
 def test_clear_memo_empties_every_table():
     nilcoxeter.clear_memo()
-    assert _memo_sizes() == [0] * 5
+    assert _memo_sizes() == [0] * 4
     kschur(3, (2, 1))
     kschur_h_expansion(3, (2, 1))
     assert all(_memo_sizes()), _memo_sizes()
     nilcoxeter.clear_memo()
-    assert _memo_sizes() == [0] * 5
+    assert _memo_sizes() == [0] * 4
+
+
+def test_a_repeated_core_image_raises(monkeypatch):
+    # distinct group elements never carry one core to the same core, so an
+    # action that sends every word to one core is refused, not merged
+    monkeypatch.setattr(cores, "_apply_letters", lambda core, letters, k: (1,))
+    with pytest.raises(IdentityError, match=r"repeats the image \(1,\) of \(\) at k=3"):
+        act_on_core(h(3, 1), ())
+    with pytest.raises(IdentityError, match=r"repeats the image \(1,\) of \(\) at k=3"):
+        pieri_partitions(3, (), 1)
 
 
 def test_h_words_are_a_kept_tuple_and_still_range_checked():

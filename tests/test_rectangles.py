@@ -104,6 +104,16 @@ def test_rectangle_validation():
     assert Rectangle(4, cols=2, rows=3).transpose() == Rectangle(4, cols=3, rows=2)
 
 
+@pytest.mark.parametrize(
+    "k, cols, rows",
+    [(True, 1, 1), (2.0, 1, 2.0), (0, 1, 0), (2, 1.0, 2), (2, 1, True), (2, 1, 2.0)],
+)
+def test_rectangle_rejects_a_bad_rank_or_side(k, cols, rows):
+    # True and 2.0 compare equal to integers, so the types are checked
+    with pytest.raises(ValueError):
+        Rectangle(k, cols, rows)
+
+
 def test_by_readings_k4():
     assert by_readings(Rectangle(4, cols=2, rows=3)) == element_from_words(
         4, TEN_WORDS_K4
