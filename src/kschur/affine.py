@@ -7,7 +7,8 @@ canonical form, one per group element, so equality, hashing and
 dictionary keying need no word rewriting.  The constructor checks a
 window; group operations derive windows from valid ones unchecked.
 `peel_descents`, the one smallest-descent peel (of `reduced_word` and the
-alcove walk), and `rotated`, the one Dynkin rotation, act on window lists.
+alcove walk), `rotated`, the one Dynkin rotation, and `reflected`, the one
+Dynkin reflection, act on window lists.
 
 The group is generated by s_0, ..., s_k where s_i sends j to j+1 when
 j = i mod (k+1), to j-1 when j = i+1 mod (k+1), and fixes j otherwise.
@@ -54,10 +55,12 @@ class AffinePermutation:
         if sum(window) != n * (n + 1) // 2:
             raise ValueError(f"window sum must be {n * (n + 1) // 2}, got {sum(window)}")
 
-    def _derived(self, window: tuple[int, ...]) -> "AffinePermutation":
-        """Rank k and a window a group operation derived from valid ones: unchecked."""
-        w = object.__new__(AffinePermutation)
-        object.__setattr__(w, "k", self.k)
+    @classmethod
+    def _of(cls, k: int, window: tuple[int, ...]) -> "AffinePermutation":
+        """Rank k and a window valid as built, such as one a group operation
+        derived from valid ones: unchecked."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "k", k)
         object.__setattr__(w, "window", window)
         return w
 
@@ -66,10 +69,7 @@ class AffinePermutation:
         """The identity of rank k: only k is checked, since the window is
         valid as built."""
         _check_rank(k)
-        e = object.__new__(cls)
-        object.__setattr__(e, "k", k)
-        object.__setattr__(e, "window", tuple(range(1, k + 2)))
-        return e
+        return cls._of(k, tuple(range(1, k + 2)))
 
     @classmethod
     def from_word(cls, k: int, word: Iterable[int]) -> "AffinePermutation":
@@ -77,11 +77,10 @@ class AffinePermutation:
 
         Total: the word does not have to be reduced.
         """
-        w = cls.identity(k)
-        win = list(w.window)
+        win = list(cls.identity(k).window)
         for i in word:  # one letter per fold, so a descent does not stop it
             fold_reduced(win, (i,))
-        return w._derived(tuple(win))
+        return cls._of(k, tuple(win))
 
     def value(self, j: int) -> int:
         """w(j) for any integer j, extending the window periodically."""
@@ -92,13 +91,13 @@ class AffinePermutation:
         """w * s_i."""
         win = list(self.window)
         fold_reduced(win, (i,))
-        return self._derived(tuple(win))
+        return self._of(self.k, tuple(win))
 
     def left_mult(self, i: int) -> "AffinePermutation":
         """s_i * w."""
         win = list(self.window)
         fold_reduced_left(win, (i,))
-        return self._derived(tuple(win))
+        return self._of(self.k, tuple(win))
 
     def has_right_descent(self, i: int) -> bool:
         """True iff w(i) > w(i+1), i.e. length(w * s_i) = length(w) - 1."""
@@ -108,7 +107,7 @@ class AffinePermutation:
         """w * s_{i_1} * ... * s_{i_m} if each letter adds one to the length
         (the nilCoxeter product u(w) u_{i_1} ... u_{i_m}), else None."""
         win = list(self.window)
-        return self._derived(tuple(win)) if fold_reduced(win, word) else None
+        return self._of(self.k, tuple(win)) if fold_reduced(win, word) else None
 
     def right_descents(self) -> list[int]:
         return [i for i in range(self.k + 1) if self.has_right_descent(i)]
@@ -138,14 +137,14 @@ class AffinePermutation:
         return tuple(reversed(peel_descents(list(self.window), self.k + 1)))
 
     def inverse(self) -> "AffinePermutation":
-        return self._derived(tuple(inverted(self.window)))
+        return self._of(self.k, tuple(inverted(self.window)))
 
     def __mul__(self, other: "AffinePermutation") -> "AffinePermutation":
         if not isinstance(other, AffinePermutation):
             return NotImplemented
         if self.k != other.k:
             raise ValueError(f"rank mismatch: {self.k} != {other.k}")
-        return self._derived(tuple(self.value(b) for b in other.window))
+        return self._of(self.k, tuple(self.value(b) for b in other.window))
 
     def rotate_indices(self, m: int) -> "AffinePermutation":
         """Image under the Dynkin rotation s_i -> s_{i+m}.
@@ -153,15 +152,15 @@ class AffinePermutation:
         On windows this is conjugation by j -> j + m (`rotated`: entry j is
         w(j - m) + m), so the result does not depend on a choice of reduced word.
         """
-        return self._derived(rotated(self.window, m))
+        return self._of(self.k, rotated(self.window, m))
 
     def reflect_indices(self) -> "AffinePermutation":
         """Image under the Dynkin reflection s_i -> s_{-i}.
 
-        On windows this is conjugation by j -> 1 - j; an involutive
-        automorphism of the group.
+        On windows this is conjugation by j -> 1 - j (`reflected`); an
+        involutive automorphism of the group.
         """
-        return self._derived(tuple(1 - self.value(1 - j) for j in range(1, self.k + 2)))
+        return self._of(self.k, reflected(self.window))
 
 
 def fold_reduced(win: list[int], word: Iterable[int]) -> bool:
@@ -240,6 +239,13 @@ def rotated(win: Sequence[int], m: int) -> tuple[int, ...]:
     n = len(win)
     m %= n
     return (*map(add, win[n - m:], repeat(m - n)), *map(add, win[:n - m], repeat(m)))
+
+
+def reflected(win: Sequence[int]) -> tuple[int, ...]:
+    """The window of w under the Dynkin reflection s_i -> s_{-i}: entry j is
+    1 - w(1 - j), that is n + 1 - w(n + 1 - j) for n = k+1 entries."""
+    n = len(win)
+    return tuple(n + 1 - a for a in reversed(win))
 
 
 def rotate_word(word: Iterable[int], m: int, k: int) -> tuple[int, ...]:

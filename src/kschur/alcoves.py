@@ -45,18 +45,12 @@ def _wall_rank(i: int, p: Sequence) -> int:
 
 
 def reflect(i: int, p: Sequence) -> Point:
-    """The affine reflection of a point across the i-th wall.
+    """The affine reflection of a point across the i-th wall: `act` of s_i.
 
     For i != 0 this swaps coordinates i and i+1; for i = 0 it exchanges
     the first and last coordinates with a unit shift.
     """
-    k = _wall_rank(i, p)
-    q = list(make_point(p))
-    if i == 0:
-        q[0], q[k] = q[k] + 1, q[0] - 1
-    else:
-        q[i - 1], q[i] = q[i], q[i - 1]
-    return tuple(q)
+    return act(AffinePermutation.identity(_wall_rank(i, p)).right_mult(i), p)
 
 
 def reflect_linear(i: int, p: Sequence) -> Point:
@@ -191,9 +185,8 @@ def pseudo_translation(gamma: Sequence[int]) -> AffinePermutation:
 
 def translation(alpha: Sequence[int]) -> AffinePermutation:
     """Translation by the negative of a root lattice vector: the element
-    t with t acting on every point p as p - alpha."""
-    if any(int(x) != x for x in alpha):
-        raise ValueError(f"root lattice vector must be integral: {alpha}")
+    t with t acting on every point p as p - alpha; `pseudo_translation`
+    checks that alpha is integral."""
     if sum(alpha) != 0:
         raise ValueError(f"root lattice vector must sum to 0: {alpha}")
     return pseudo_translation(alpha)

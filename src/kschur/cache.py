@@ -6,17 +6,19 @@ $KSCHUR_CACHE_DIR or ~/.cache/kschur.  A put writes a temp file and
 renames it into place, so it touches only its own key.  The cache is
 advisory: a file that does not parse, holds another key, holds a term whose
 reduced word is not of length |λ|, is not fixed by the Dynkin rotation
-u_i -> u_{i+1} (`affine.rotated`, which fixes every h_i, so every s_λ), or
-fails the certificate (coefficient δ_{λν} on every Grassmannian w_ν with
-|ν| = |λ|) is ignored with a warning on stderr and recomputed, and a put
-that cannot write (say, the directory is a regular file) only warns.
+u_i -> u_{i+1} (`affine.rotated`) or by σ, the Dynkin reflection
+u_i -> u_{-i} of the reversed word (`affine.reflected` of the inverse),
+both of which fix every h_i and so every s_λ, or fails the certificate
+(coefficient δ_{λν} on every Grassmannian w_ν with |ν| = |λ|) is ignored
+with a warning on stderr and recomputed, and a put that cannot write
+(say, the directory is a regular file) only warns.
 
-Not caught: a stray sum of whole rotation orbits of degree |λ| on
-elements that are not Grassmannian, one coefficient for each orbit.
-Only the identity is fixed by the rotation, so a single stray term is
-caught; but the certificate reads only the Grassmannian coefficients,
-and it proves the document is s_λ only for an element of the subring the
-h's generate, which a file cannot be shown to lie in.
+Not caught: a stray sum of whole dihedral orbits (under the rotation and
+σ) of degree |λ| on elements that are not Grassmannian, one coefficient
+for each orbit.  Only the identity is fixed by the rotation, so a single
+stray term is caught; but the certificate reads only the Grassmannian
+coefficients, and it proves the document is s_λ only for an element of
+the subring the h's generate, which a file cannot be shown to lie in.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import tempfile
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .affine import rotated
+from .affine import inverted, reflected, rotated
 from .documents import ExpansionDocument
 from .nilcoxeter import certify
 from .reports import IdentityError
@@ -58,6 +60,8 @@ class ExpansionCache:
             terms = {t.window: t.coeff for t in doc.terms}
             if {rotated(w, 1): c for w, c in terms.items()} != terms:
                 raise ValueError("the terms are not fixed by the Dynkin rotation")
+            if {reflected(inverted(w)): c for w, c in terms.items()} != terms:
+                raise ValueError("the terms are not fixed by the Dynkin reflection of the inverse")
             certify(k, lam, terms)
         except (FileNotFoundError, NotADirectoryError):
             return None

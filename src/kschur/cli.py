@@ -43,11 +43,11 @@ from .reports import Report
 # hours.  Measured on a 2-vCPU VM with Python 3.11.
 #
 # verify --kmax, and the k of kschur and lr: verify --kmax 8 --suite all
-# takes 52-56 s and 813 MB peak RSS; 9 waits until the memo's memory is bounded
+# takes 46-47 s and 813 MB peak RSS; 9 waits until the memo's memory is bounded
 KMAX_CEILING = 8
 # the size of every k-bounded partition argument: it admits the 4x4
 # rectangle at k = 7, and at k = 8 the slowest size-16 partition tried,
-# (3,3,3,2,2,1,1,1), takes 41 s and 651 MB, within what verify --kmax 8 takes
+# (3,3,3,2,2,1,1,1), uncached, takes 30-31 s and 622 MB, within what verify --kmax 8 takes
 SIZE_CEILING = 16
 # a core argument may be as large as the largest core of an admitted
 # partition, the 2-core of (1^SIZE_CEILING)
@@ -323,16 +323,11 @@ _PARSER = build_parser()
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _PARSER.parse_args(argv)
-    if args.command == "core" and len(args.args) != _CORE_ARG_COUNT[args.action]:
-        print(
-            f"error: core {args.action} takes {_CORE_ARG_COUNT[args.action]} argument(s)",
-            file=sys.stderr,
-        )
-        return 2
-    if getattr(args, "k", 1) < 1:
-        print("error: --k must be >= 1", file=sys.stderr)
-        return 2
     try:
+        if args.command == "core" and len(args.args) != _CORE_ARG_COUNT[args.action]:
+            raise UsageError(f"core {args.action} takes {_CORE_ARG_COUNT[args.action]} argument(s)")
+        if getattr(args, "k", 1) < 1:
+            raise UsageError("--k must be >= 1")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

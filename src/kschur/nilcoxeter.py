@@ -46,7 +46,7 @@ def basis_times_generator(
     """u(w) * u_i (or u_i * u(w) for side="left"): the length-increasing
     product, or None when the length would drop (u_i^2 = 0)."""
     win = list(w.window)
-    return w._derived(tuple(win)) if _side_fold(side)(win, (i,)) else None
+    return AffinePermutation._of(w.k, tuple(win)) if _side_fold(side)(win, (i,)) else None
 
 
 def _side_fold(side: str) -> Callable:
@@ -114,8 +114,7 @@ class AlgebraElement:
         return [w for w, _ in self.items()]
 
     def items(self) -> list[tuple[AffinePermutation, int]]:
-        e = AffinePermutation.identity(self.k)
-        return [(e._derived(w), self._terms[w]) for w in sorted(self._terms)]
+        return [(AffinePermutation._of(self.k, w), self._terms[w]) for w in sorted(self._terms)]
 
     def _words(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """The (reduced word, coefficient) pairs of the terms, in items()

@@ -8,6 +8,7 @@ from kschur.affine import (
     fold_reduced,
     fold_reduced_left,
     reflect_word,
+    reflected,
     rotate_word,
 )
 from kschur.documents import ExpansionDocument
@@ -332,6 +333,8 @@ def test_reflect_indices():
             k, reflect_word(word, k)
         )
         assert w.reflect_indices().reflect_indices() == w
+        # entry j of the reflected window is 1 - w(1 - j)
+        assert reflected(w.window) == tuple(1 - w.value(1 - j) for j in range(1, k + 2))
     assert AffinePermutation.identity(3).reflect_indices() == AffinePermutation.identity(3)
 
 

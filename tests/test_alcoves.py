@@ -80,7 +80,8 @@ def test_reflect_swaps():
     assert reflect(0, q) == (1, 0, 0)  # a_3 + 1 = 1, a_1 - 1 = 0
     assert reflect_linear(0, (1, 0, 0)) == (0, 0, 1)
     # the explicit swaps: i > 0 exchanges coordinates i and i+1, i = 0 the
-    # first and last, reflect with a unit shift
+    # first and last, reflect with a unit shift; reflect, which runs act of
+    # s_i, must give the same Fractions
     rng = random.Random(12)
     for _ in range(40):
         k = rng.randint(1, 5)
@@ -93,6 +94,7 @@ def test_reflect_swaps():
             if i == 0:
                 swapped[a], swapped[b] = p[b] - 1, p[a] + 1
             assert reflect(i, p) == tuple(swapped)
+            assert all(type(x) is Fraction for x in reflect(i, p))
 
 
 def test_reflect_involution():

@@ -495,6 +495,17 @@ def test_core_command_word(capsys):
     assert w.length() == 6
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("core", "--k", "4", "act", "u1"), "error: core act takes 2 argument(s)\n"),
+        (("kschur", "--k", "0", "--partition", "1"), "error: --k must be >= 1\n"),
+    ],
+)
+def test_checks_before_the_command_print_one_usage_error(capsys, argv, line):
+    assert run_cli(capsys, *argv) == (2, "", line)
+
+
 def test_core_command_argument_errors(capsys):
     code, _, err = run_cli(capsys, "core", "--k", "4", "act", "u1")
     assert code == 2
@@ -859,18 +870,29 @@ def test_cache_corrupt_entry_recomputes(tmp_path, capsys, monkeypatch):
     relabelled = dict(doc.to_dict(), index=[1, 1, 1])
     wrong_key = ExpansionDocument.from_element((1, 1, 1), kschur(3, (1, 1, 1))).to_dict()
     wrong_k = ExpansionDocument.from_element(lam, kschur(4, lam)).to_dict()
-    for data in (altered, stray, unrotated, relabelled, wrong_key, wrong_k):
-        path = cache.file(3, lam)
+    # s_(2,1) at k = 4 plus 5 times the rotation orbit of a window of length
+    # 3: five elements, none Grassmannian, so the rotation check and the
+    # certificate pass, but σ (the Dynkin reflection of the inverse) moves it
+    orbit = [AffinePermutation(4, rotated((-1, 2, 5, 3, 6), m)) for m in range(5)]
+    grassmannian = {w_of_partition(nu, 4) for nu in k_bounded_partitions(3, 4)}
+    assert len(set(orbit)) == 5 and not grassmannian & set(orbit)
+    assert all(v.length() == 3 for v in orbit)
+    stray_orbit = kschur(4, lam) + AlgebraElement(4, [(v, 5) for v in orbit])
+    docs = {3: doc, 4: ExpansionDocument.from_element(lam, kschur(4, lam))}
+    cases = [(3, data) for data in (altered, stray, unrotated, relabelled, wrong_key, wrong_k)]
+    cases.append((4, ExpansionDocument.from_element(lam, stray_orbit).to_dict()))
+    for k, data in cases:
+        path = cache.file(k, lam)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(data))
-        assert cache.get(3, lam) is None
+        assert cache.get(k, lam) is None
         assert "warning: ignoring corrupt cache entry" in capsys.readouterr().err
         code, out, err = run_cli(
-            capsys, "kschur", "--k", "3", "--partition", "2,1", "--format", "json"
+            capsys, "kschur", "--k", str(k), "--partition", "2,1", "--format", "json"
         )
-        assert (code, out.strip()) == (0, doc.to_json())
-        assert "corrupt" in err
-        assert cache.get(3, lam) == doc
+        assert (code, out.strip()) == (0, docs[k].to_json())
+        assert len(err.splitlines()) == 1 and "corrupt" in err
+        assert cache.get(k, lam) == docs[k]
 
 
 def test_cache_term_of_another_degree_recomputes(tmp_path, capsys, monkeypatch):
