@@ -144,43 +144,53 @@ def alcove_of(point: Sequence) -> AffinePermutation:
     """
     p = make_point(point)
     d = lcm(*(x.denominator for x in p))
-    return _walk([-x.numerator * (d // x.denominator) for x in p], d)
+    return _walk([-x.numerator * (d // x.denominator) for x in p], d)[0]
 
 
-def _walk(q: list[int], d: int) -> AffinePermutation:
+def _walk(q: list[int], d: int) -> tuple[AffinePermutation, tuple[int, ...]]:
     """The greedy walk of `alcove_of` on a negated point scaled by d: wall i
     is violated exactly when s_i is a descent of q with period d, so the walk
     is `peel_descents`, reflecting q in place.  Off the walls the word it
-    records is reduced, which the fold that builds the element checks."""
+    records is reduced, which the fold that builds the element checks; the
+    element comes with that word, its reversed letters."""
     if len(q) < 2:
         raise ValueError(f"a point needs at least 2 coordinates (k >= 1), got {len(q)}")
-    letters = peel_descents(q, d)
+    word = tuple(reversed(peel_descents(q, d)))
     if any(q[i - 1] == q[i] for i in range(1, len(q))) or q[-1] - q[0] == d:
         raise ValueError("point on wall")
-    w = AffinePermutation.identity(len(q) - 1).times_reduced(reversed(letters))
+    w = AffinePermutation.identity(len(q) - 1).times_reduced(word)
     if w is None:
-        raise IdentityError(f"the walk's word of {len(letters)} letters is not reduced")
-    return w
+        raise IdentityError(f"the walk's word of {len(word)} letters is not reduced")
+    return w, word
 
 
 def pseudo_translation(gamma: Sequence[int]) -> AffinePermutation:
     """The element carrying the fundamental alcove to its translate by
     an integer weight (acting on other alcoves it translates them too,
-    generally in different directions).
+    generally in different directions)."""
+    if any(int(x) != x for x in gamma):
+        raise ValueError(f"weight must be integral: {gamma}")
+    return _pseudo_translation([int(x) for x in gamma])[0]
+
+
+def _pseudo_translation(gamma: Sequence[int]) -> tuple[AffinePermutation, tuple[int, ...]]:
+    """`pseudo_translation` of a weight of type-int entries, unchecked, with
+    the walk's word, which is its `reduced_word()`.
 
     The walk and the certificate run on the negated target centroid q scaled
     by k+1: coordinate j of the centroid of w, times k+1, is k+1 - w(j) (see
-    `centroid`), so it is the target modulo the diagonal iff w(j) - q_j is constant.
+    `centroid`), so it is the target modulo the diagonal iff w(j) - q_j is
+    constant.  Then q is the window shifted by that constant, which moves no
+    descent test and commutes with the s_0 swap, and the walk's period is
+    k+1, so it peels q exactly as `reduced_word` peels the window.
     """
-    if any(int(x) != x for x in gamma):
-        raise ValueError(f"weight must be integral: {gamma}")
     n = len(gamma)
-    q = [t + 1 - n - n * int(x) for t, x in enumerate(gamma)]
-    w = _walk(list(q), n)
+    q = [t + 1 - n - n * x for t, x in enumerate(gamma)]
+    w, word = _walk(list(q), n)
     if len({a - b for a, b in zip(w.window, q)}) != 1:
         target = add_points(fundamental_centroid(n - 1), gamma)
         raise IdentityError(f"alcove of {target} does not have it as centroid")
-    return w
+    return w, word
 
 
 def translation(alpha: Sequence[int]) -> AffinePermutation:

@@ -43,11 +43,16 @@ from .reports import Report
 # hours.  Measured on a 2-vCPU VM with Python 3.11.
 #
 # verify --kmax, and the k of kschur and lr: verify --kmax 8 --suite all
-# takes 46-47 s and 813 MB peak RSS; 9 waits until the memo's memory is bounded
+# takes 4.4-4.5 s and 93 MB peak RSS (47 s and 813 MB before kschur solved
+# the k-conjugate with the larger first part); 9 waits until the memo's
+# memory is bounded
 KMAX_CEILING = 8
 # the size of every k-bounded partition argument: it admits the 4x4
 # rectangle at k = 7, and at k = 8 the slowest size-16 partition tried,
-# (3,3,3,2,2,1,1,1), uncached, takes 30-31 s and 622 MB, within what verify --kmax 8 takes
+# (4,4,2,2,2,2), uncached, takes 17-21 s and 329 MB (tried: the 31 whose
+# solved side, the partition or its k-conjugate, has the smallest first
+# parts; (3,3,3,2,2,1,1,1), 30-31 s and 622 MB when it was solved itself,
+# now takes 4.4 s)
 SIZE_CEILING = 16
 # a core argument may be as large as the largest core of an admitted
 # partition, the 2-core of (1^SIZE_CEILING)
@@ -57,9 +62,9 @@ CORE_SIZE_CEILING = SIZE_CEILING * (SIZE_CEILING + 1) // 2
 # about 0.25 s, 256 about 0.9 s and 400 about 3 s
 CHAIN_CEILING = 128
 # rect --k: the slowest row (all four formulas, JSON, best of three in one
-# process) takes about 0.07 s at k = 10, 0.13 s at k = 11 and 0.2-0.3 s at
-# k = 12, and grows about 1.7-2 times per k; the ceiling stays at 12, so
-# that exit codes stay as they were
+# process) takes about 0.03-0.05 s at k = 10, 0.07-0.09 s at k = 11 and
+# 0.13-0.21 s at k = 12, and grows about 1.7-2.5 times per k; the ceiling
+# stays at 12, so that exit codes stay as they were
 RECT_K_CEILING = 12
 # core word --k: w_lambda's window has k + 1 entries; the slowest admitted
 # partition tried takes 0.28 s and 28 MB at k = 10^5, 1.2 s and 131 MB at 10^6
@@ -143,8 +148,11 @@ def cmd_rect(args: argparse.Namespace) -> int:
         return 0
     elements = {name: fn(rect) for name, fn in _FORMULAS.items()}
     first = next(iter(elements.values()))
-    # a formula whose element equals the first one's shares its document
-    shared = ExpansionDocument.from_element(rect, first)
+    # a formula whose element equals the first one's shares its document,
+    # built from the by_translations element when it is one of them: that
+    # element keeps the words its walks peeled, so none is peeled again
+    source = elements["y"] if elements["y"] == first else first
+    shared = ExpansionDocument.from_element(rect, source)
     docs = {
         name: shared if element == first else ExpansionDocument.from_element(rect, element)
         for name, element in elements.items()

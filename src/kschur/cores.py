@@ -217,10 +217,12 @@ def skew_reading_word(outer: Partition, inner: Partition, k: int) -> tuple[int, 
 
 
 def _skew_reading_word(outer: Partition, inner: Partition, k: int) -> tuple[int, ...]:
-    """skew_reading_word of validated partitions, inner contained in outer."""
+    """skew_reading_word of validated partitions, inner contained in outer;
+    the residue of each cell is `content`, inline."""
     padded = inner + (0,) * (len(outer) - len(inner))
+    n = k + 1
     return tuple([
-        content(i, j, k)
+        (j - i) % n
         for i in range(len(outer), 0, -1)
         for j in range(outer[i - 1], padded[i - 1], -1)
     ])

@@ -57,9 +57,10 @@ class ExpansionDocument:
 
     @classmethod
     def from_element(cls, index: Index, element: AlgebraElement) -> "ExpansionDocument":
+        # the words the element keeps, in items() order (see `_words`)
         terms = tuple(
-            Term(window=w.window, word=w.reduced_word(), coeff=c)
-            for w, c in element.items()
+            Term(window=w.window, word=word, coeff=c)
+            for (w, c), (word, _) in zip(element.items(), element._words())
         )
         return cls(k=element.k, index=index, terms=terms)
 

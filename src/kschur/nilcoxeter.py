@@ -12,9 +12,11 @@ products over i-subsets of the generator indices) commute pairwise.  In
 the subring they generate, the k-Schur function s_lam is the element with
 coefficient delta_{lam nu} on u(w_nu) for every Grassmannian w_nu of its
 degree; the solve reads each k-Pieri step off these coefficients alone
-and returns the element only.  The h-expansion of s_lam is read off the
-k-Pieri rule on cores instead (`pieri_partitions`), which the Pieri sweep
-checks against the algebra, so the core action stays an independent oracle.
+and returns the element only, and `kschur` solves whichever of lam and
+its k-conjugate has the larger first part (see `_kschur`).  The
+h-expansion of s_lam is read off the k-Pieri rule on cores instead
+(`pieri_partitions`), which the Pieri sweep checks against the algebra,
+so the core action stays an independent oracle.
 """
 
 from __future__ import annotations
@@ -23,13 +25,14 @@ import functools
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .affine import AffinePermutation, fold_reduced, fold_reduced_left
+from .affine import AffinePermutation, fold_reduced, fold_reduced_left, reflected
 from .cores import (
     Partition,
     apply_word_nil,
     as_bounded,
     as_partition,
     bounded_to_core,
+    conjugate,
     core_to_bounded,
     k_bounded_partitions,
     reading_word,
@@ -119,13 +122,27 @@ class AlgebraElement:
     def _words(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """The (reduced word, coefficient) pairs of the terms, in items()
         order, read on the first call and kept: threads that read them at
-        once store equal tuples."""
+        once store equal tuples.
+
+        A kept word is always the term's `reduced_word()`, whoever kept it,
+        so documents print the same bytes either way.  Besides the first
+        call, only `_keep_words` stores them, and only for the words of the
+        pseudo-translation walk, which peels with period k+1 as
+        `reduced_word` does; the walk of `alcove_of` peels with another
+        period, so its word may differ and must not seed them."""
         try:
             return self._reduced
         except AttributeError:
             words = tuple((w.reduced_word(), c) for w, c in self.items())
             object.__setattr__(self, "_reduced", words)
             return words
+
+    def _keep_words(self, words: Mapping[tuple[int, ...], tuple[int, ...]]) -> "AlgebraElement":
+        """Keep the `reduced_word()` of each term, given by window, for
+        `_words` (see there for who may call this); returns self."""
+        kept = tuple((words[w], c) for w, c in sorted(self._terms.items()))
+        object.__setattr__(self, "_reduced", kept)
+        return self
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -302,8 +319,9 @@ def act_on_core(
 
 
 def clear_memo() -> None:
-    """Empty every per-process table: the solve, the h-expansions, the
-    Grassmannian tables and the words of each h_i."""
+    """Empty every per-process table: the k-Schur functions, the solve, the
+    h-expansions, the Grassmannian tables and the words of each h_i."""
+    _kschur.cache_clear()
     _solve.cache_clear()
     _h_expansion.cache_clear()
     _grassmannians.cache_clear()
@@ -312,8 +330,27 @@ def clear_memo() -> None:
 
 def kschur(k: int, lam: Sequence[int]) -> AlgebraElement:
     """Standard-basis expansion of the k-Schur function of a k-bounded
-    partition, solved by certified k-Pieri steps (see `_solve`)."""
-    return _solve(k, as_bounded(lam, k))
+    partition, solved by certified k-Pieri steps (see `_solve`), for it or
+    for its k-conjugate (see `_kschur`)."""
+    return _kschur(k, as_bounded(lam, k))
+
+
+@functools.cache
+def _kschur(k: int, lam: Partition) -> AlgebraElement:
+    """s_lam through the ω_k symmetry when that is the cheaper side.  The
+    mate lam^(ω_k), the k-bounded partition of the transposed core, has
+    ω s_mate = s_lam (Lapointe-Morse), and ω acts on the algebra as the
+    Dynkin reflection u_i -> u_(-i) (`affine.reflected` on windows).  When
+    the mate's first part is larger, the mate is solved and its windows
+    reflected: the reflection is an automorphism that sends h_i to
+    s_(1^i), so it keeps the h-subring, where the δ certificate then proves
+    the image is s_lam.  Otherwise lam is solved itself."""
+    mate = core_to_bounded(conjugate(bounded_to_core(lam, k)), k)
+    if mate[:1] <= lam[:1]:
+        return _solve(k, lam)
+    terms = {reflected(w): c for w, c in _solve(k, mate)._terms.items()}
+    certify(k, lam, terms)
+    return AlgebraElement._of_windows(k, terms)
 
 
 def kschur_h_expansion(k: int, lam: Sequence[int]) -> dict[Partition, int]:

@@ -26,13 +26,8 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .affine import AffinePermutation, _check_rank, rotate_word
-from .alcoves import (
-    act_linear,
-    fundamental_weight,
-    gamma_vectors,
-    pseudo_translation,
-)
+from .affine import AffinePermutation, _check_rank
+from .alcoves import _pseudo_translation, act_linear, fundamental_weight, gamma_vectors
 from .cores import (
     Partition,
     _skew_reading_word,
@@ -99,22 +94,26 @@ def by_readings(rect: Rectangle) -> AlgebraElement:
 
 def by_translations(rect: Rectangle) -> AlgebraElement:
     """Sum of u(z) over the pseudo-translations z of the fundamental
-    alcove in the 0/1 directions with cols many ones."""
-    return distinct_sum(rect.k, f"{rect} by translations", (
-        (gamma, pseudo_translation(gamma)) for gamma in gamma_vectors(rect.k, rect.cols)
-    ))
+    alcove in the 0/1 directions with cols many ones.  The directions of a
+    checked rectangle are 0/1 ints as `gamma_vectors` builds them, so the
+    walks run unchecked, and the element keeps the word each walk peeled,
+    which is its term's `reduced_word()`."""
+    walks = [(gamma, *_pseudo_translation(gamma)) for gamma in gamma_vectors(rect.k, rect.cols)]
+    element = distinct_sum(rect.k, f"{rect} by translations", ((gamma, z) for gamma, z, _ in walks))
+    return element._keep_words({z.window: word for _, z, word in walks})
 
 
 def by_columns(rect: Rectangle) -> AlgebraElement:
     """Sum over c-subsets A of generator indices of the product of the
     cyclically decreasing elements of A, A+1, ..., A+rows-1."""
     k, c, r = rect.k, rect.cols, rect.rows
+    n = k + 1
     e = AffinePermutation.identity(k)
 
     def product(subset: tuple[int, ...]):
         # rotating by d, an automorphism, takes A's word to a word of A+d
         base = cyclically_decreasing_word(k, subset)
-        return e.times_reduced([i for d in range(r) for i in rotate_word(base, d, k)])
+        return e.times_reduced([(i + d) % n for d in range(r) for i in base])
 
     return distinct_sum(k, f"{rect} by column words", (
         (subset, product(subset)) for subset in combinations(range(k + 1), c)

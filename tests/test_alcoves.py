@@ -471,8 +471,15 @@ from kschur import alcoves
 from kschur.reports import IdentityError
 
 walk = alcoves._walk
+
+
+def neighbour(p, d):
+    w, word = walk(p, d)
+    return w.right_mult(i), word
+
+
+alcoves._walk = neighbour
 for i in range(5):
-    alcoves._walk = lambda p, d: walk(p, d).right_mult(i)
     try:
         print(alcoves.pseudo_translation((1, 1, 0, 0, 0)))
     except IdentityError as exc:

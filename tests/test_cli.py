@@ -187,6 +187,22 @@ def test_each_document_is_encoded_once(capsys, tmp_path, monkeypatch):
     assert len(encoded) == 1
 
 
+def test_rect_command_peels_no_word_when_the_formulas_agree(capsys, monkeypatch):
+    # the shared document reads the words by_translations kept from its
+    # walks, and so does `--formula y` alone: no term is peeled again
+    rect = ("rect", "--k", "6", "--rows", "4", "--format")
+    argvs = [(*rect, "json"), (*rect, "text"), (*rect, "json", "--formula", "y")]
+    expected = [run_cli(capsys, *argv) for argv in argvs]
+
+    def refuse(w):
+        raise RuntimeError("reduced_word called")
+
+    monkeypatch.setattr(AffinePermutation, "reduced_word", refuse)
+    assert [run_cli(capsys, *argv) for argv in argvs] == expected
+    code, out, _ = expected[-1]
+    assert code == 0 and len(ExpansionDocument.from_json(out).terms) == 35
+
+
 def test_rect_command_single_formula(capsys):
     code, out, _ = run_cli(
         capsys, "rect", "--k", "7", "--rows", "3", "--formula", "y", "--format", "json"

@@ -7,7 +7,13 @@ import pytest
 from kschur import cores, nilcoxeter
 from kschur.affine import AffinePermutation
 from kschur.cache import ExpansionCache
-from kschur.cores import bounded_to_core, k_bounded_partitions, w_of_partition
+from kschur.cores import (
+    bounded_to_core,
+    conjugate,
+    core_to_bounded,
+    k_bounded_partitions,
+    w_of_partition,
+)
 from kschur.documents import ExpansionDocument
 from kschur.nilcoxeter import (
     AlgebraElement,
@@ -433,19 +439,74 @@ def test_grassmannians_are_built_once_for_the_solve_and_the_cache(monkeypatch, t
 
 def _memo_sizes():
     tables = (
-        nilcoxeter._solve, nilcoxeter._h_expansion, nilcoxeter._grassmannians, h_words
+        nilcoxeter._kschur, nilcoxeter._solve, nilcoxeter._h_expansion,
+        nilcoxeter._grassmannians, h_words,
     )
     return [table.cache_info().currsize for table in tables]
 
 
 def test_clear_memo_empties_every_table():
     nilcoxeter.clear_memo()
-    assert _memo_sizes() == [0] * 4
+    assert _memo_sizes() == [0] * 5
     kschur(3, (2, 1))
     kschur_h_expansion(3, (2, 1))
     assert all(_memo_sizes()), _memo_sizes()
     nilcoxeter.clear_memo()
-    assert _memo_sizes() == [0] * 4
+    assert _memo_sizes() == [0] * 5
+
+
+def reflected_element(x):
+    """The image of an element under the Dynkin reflection u_i -> u_{-i}."""
+    return AlgebraElement(x.k, [(w.reflect_indices(), c) for w, c in x.items()])
+
+
+def test_reflected_h_is_the_kschur_function_of_a_column():
+    # ω sends h_i to s_(1^i), and it acts on the algebra as the reflection
+    nilcoxeter.clear_memo()
+    for k in range(1, 9):
+        for i in range(1, k + 1):
+            assert reflected_element(h(k, i)) == kschur(k, (1,) * i), (k, i)
+    nilcoxeter.clear_memo()
+
+
+def test_solve_commutes_with_k_conjugation():
+    # the solve of lam and the reflected solve of its k-conjugate, both
+    # without the map that kschur applies, are one element
+    nilcoxeter.clear_memo()
+    count = 0
+    for k in range(1, 7):
+        for n in range(9):
+            for lam in k_bounded_partitions(n, k):
+                mate = core_to_bounded(conjugate(bounded_to_core(lam, k)), k)
+                assert nilcoxeter._solve(k, lam) == reflected_element(nilcoxeter._solve(k, mate)), (k, lam)
+                count += 1
+    assert count == 252
+    nilcoxeter.clear_memo()
+
+
+def test_kschur_solves_the_conjugate_with_the_larger_first_part(monkeypatch):
+    # (1,1,1) at k=4 is mapped from the solve of (3,); (2,1) is its own mate
+    nilcoxeter.clear_memo()
+    solved = []
+    real = nilcoxeter._solve
+    monkeypatch.setattr(nilcoxeter, "_solve", lambda k, lam: solved.append(lam) or real(k, lam))
+    assert kschur(4, (1, 1, 1)) == reflected_element(h(4, 3))
+    assert (3,) in solved and (1, 1, 1) not in solved
+    solved.clear()
+    kschur(4, (2, 1))
+    assert solved[0] == (2, 1)
+    monkeypatch.undo()  # a patched _solve has no cache_clear
+    nilcoxeter.clear_memo()
+
+
+def test_a_mapped_solve_is_certified(monkeypatch):
+    # the mate's solve mapped without the reflection is h_3, not s_(1,1,1):
+    # the certificate must refuse it rather than return it
+    nilcoxeter.clear_memo()
+    monkeypatch.setattr(nilcoxeter, "reflected", lambda win: win)
+    with pytest.raises(IdentityError, match=r"\(1, 1, 1\) at k=4"):
+        kschur(4, (1, 1, 1))
+    nilcoxeter.clear_memo()
 
 
 def test_a_repeated_core_image_raises(monkeypatch):

@@ -6,6 +6,7 @@ from kschur import rectangles
 from kschur.affine import AffinePermutation
 from kschur.alcoves import act_linear, gamma_vectors, pseudo_translation
 from kschur.cores import bounded_to_core, conjugate, k_bounded_partitions, partitions_in_box
+from kschur.documents import ExpansionDocument
 from kschur.nilcoxeter import AlgebraElement, act_on_core, kschur
 from kschur.rectangles import (
     Rectangle,
@@ -188,8 +189,8 @@ REPEATED, DEAD = "repeats an earlier term", "the product is zero"
     [
         (by_readings, "_skew_reading_word", lambda shape, inner, k: (), REPEATED),
         (by_readings, "_skew_reading_word", lambda shape, inner, k: (1, 1), DEAD),
-        (by_translations, "pseudo_translation", lambda gamma: AffinePermutation.identity(3), REPEATED),
-        (by_translations, "pseudo_translation", lambda gamma: None, DEAD),
+        (by_translations, "_pseudo_translation", lambda gamma: (AffinePermutation.identity(3), ()), REPEATED),
+        (by_translations, "_pseudo_translation", lambda gamma: (None, ()), DEAD),
         (by_columns, "cyclically_decreasing_word", lambda k, subset: (), REPEATED),
         (by_columns, "cyclically_decreasing_word", lambda k, subset: (1, 1), DEAD),
         (by_windows, "combinations", lambda positions, c: [tuple(positions)[:c]] * 2, REPEATED),
@@ -206,6 +207,29 @@ def test_formula_rejects_repeated_or_dead_term(monkeypatch, formula, source, fak
     monkeypatch.setattr(rectangles, source, fake)
     with pytest.raises(IdentityError, match=fault):
         formula(Rectangle(3, 2, 2))
+
+
+def test_translation_words_are_the_reduced_words():
+    # by_translations keeps the word each walk peeled; the invariant of
+    # AlgebraElement._words is that a kept word is the term's reduced_word()
+    for k in range(1, 11):
+        for rect in all_rectangles(k):
+            element = by_translations(rect)
+            kept = element._reduced  # seeded by the walk, not read yet
+            assert [word for word, _ in kept] == [w.reduced_word() for w in element.support()], rect
+            assert all(c == 1 for _, c in kept)
+
+
+def test_every_formula_gives_the_same_document():
+    # from_element reads the kept words of the by_translations element and
+    # peels the other three formulas' terms: the same document every time
+    for k in range(1, 11):
+        for rect in all_rectangles(k):
+            texts = {
+                ExpansionDocument.from_element(rect, formula(rect)).to_json()
+                for formula in (by_readings, by_translations, by_columns, by_windows)
+            }
+            assert len(texts) == 1, rect
 
 
 def test_column_choice_worked_example():
