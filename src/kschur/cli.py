@@ -142,23 +142,21 @@ def cmd_rect(args: argparse.Namespace) -> int:
     if not 1 <= args.rows <= args.k:
         raise UsageError(f"rows must be in 1..{args.k}, got {args.rows}")
     rect = Rectangle.with_rows(args.k, args.rows)
-    if args.formula != "all":
-        element = _FORMULAS[args.formula](rect)
-        _emit_document(ExpansionDocument.from_element(rect, element), args.format)
-        return 0
-    elements = {name: fn(rect) for name, fn in _FORMULAS.items()}
-    first = next(iter(elements.values()))
-    # a formula whose element equals the first one's shares its document,
-    # built from the by_translations element when it is one of them: that
-    # element keeps the words its walks peeled, so none is peeled again
-    source = elements["y"] if elements["y"] == first else first
-    shared = ExpansionDocument.from_element(rect, source)
+    names = _FORMULAS if args.formula == "all" else [args.formula]
+    elements = {name: _FORMULAS[name](rect) for name in names}
+    # the by_translations element, whenever it is built, keeps the words its
+    # walks peeled, so the shared document built from it peels none; every
+    # element equal to the reference shares its document
+    reference = elements["y" if "y" in elements else args.formula]
+    shared = ExpansionDocument.from_element(rect, reference)
     docs = {
-        name: shared if element == first else ExpansionDocument.from_element(rect, element)
+        name: shared if element == reference else ExpansionDocument.from_element(rect, element)
         for name, element in elements.items()
     }
     equal = all(doc is shared for doc in docs.values())
-    if args.format == "json":
+    if args.formula != "all":
+        _emit_document(shared, args.format)
+    elif args.format == "json":
         # a document encodes once, so a shared one is spliced in each time whole
         formulas = {name: doc.to_json() for name, doc in docs.items()}
         fields = {"k": args.k, "rows": rect.rows, "cols": rect.cols, "equal": equal}

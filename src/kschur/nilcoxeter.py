@@ -199,9 +199,9 @@ class AlgebraElement:
         if not self._terms:
             return "0"
         bits = []
-        for w, c in self.items():
-            word = " ".join(f"u{i}" for i in w.reduced_word()) or "1"
-            bits.append(f"{c:+d}·{word}")
+        for word, c in self._words():
+            text = " ".join(f"u{i}" for i in word) or "1"
+            bits.append(f"{c:+d}·{text}")
         return " ".join(bits)
 
 
@@ -429,8 +429,11 @@ def _solve(k: int, lam: Partition) -> AlgebraElement:
 
 
 def negative_terms(elem: AlgebraElement) -> dict[AffinePermutation, int]:
-    """Terms with negative coefficient.  Observed empty for every k-Schur
-    function computed at small scale; reported, not assumed."""
+    """Terms with negative coefficient.  Empty for every k-Schur function:
+    its coefficients in the u(w) basis are nonnegative, a theorem of Lam
+    (JAMS 2008), as affine Stanley functions expand positively in affine
+    Schur functions and by duality those coefficients are the [u(w)] s_lam.
+    Reported, not assumed."""
     return {w: c for w, c in elem.items() if c < 0}
 
 

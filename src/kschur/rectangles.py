@@ -9,8 +9,8 @@ one:
                    every partition it contains;
   by_translations  sums the pseudo-translations of the fundamental
                    alcove in every 0/1 direction with c ones;
-  by_columns       sums, for every c-subset of generator indices, the
-                   product of its r consecutive cyclic shifts;
+  by_columns       sums, for every cyclically decreasing word of h_c,
+                   the product of its r consecutive cyclic shifts;
   by_windows       sums basis elements given directly by windows that
                    drop chosen entries by r and raise the rest by c.
 
@@ -22,7 +22,6 @@ that conjugates a generator index by c across the rectangle element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import Sequence
 
@@ -42,8 +41,8 @@ from .cores import (
 from .nilcoxeter import (
     AlgebraElement,
     act_on_core,
-    cyclically_decreasing_word,
     distinct_sum,
+    h_words,
     kschur,
     negative_terms,
 )
@@ -104,30 +103,27 @@ def by_translations(rect: Rectangle) -> AlgebraElement:
 
 
 def by_columns(rect: Rectangle) -> AlgebraElement:
-    """Sum over c-subsets A of generator indices of the product of the
-    cyclically decreasing elements of A, A+1, ..., A+rows-1."""
-    k, c, r = rect.k, rect.cols, rect.rows
+    """Sum over the cyclically decreasing words of h_cols, one for each
+    c-subset A of generator indices, of the product of the words of A,
+    A+1, ..., A+rows-1: rotating by d, an automorphism, takes A's word to
+    a word of A+d."""
+    k, r = rect.k, rect.rows
     n = k + 1
     e = AffinePermutation.identity(k)
-
-    def product(subset: tuple[int, ...]):
-        # rotating by d, an automorphism, takes A's word to a word of A+d
-        base = cyclically_decreasing_word(k, subset)
-        return e.times_reduced([(i + d) % n for d in range(r) for i in base])
-
     return distinct_sum(k, f"{rect} by column words", (
-        (subset, product(subset)) for subset in combinations(range(k + 1), c)
+        (word, e.times_reduced([(i + d) % n for d in range(r) for i in word]))
+        for word in h_words(k, rect.cols)
     ))
 
 
 def by_windows(rect: Rectangle) -> AlgebraElement:
-    """Sum over c-subsets B of window positions 1..k+1 of the basis
-    element whose window entry is i - rows when i is in B and i + cols
+    """Sum over the 0/1 directions gamma with cols ones of the basis
+    element whose window entry is i - rows when gamma_i = 1 and i + cols
     otherwise."""
     k, c, r = rect.k, rect.cols, rect.rows
     return distinct_sum(k, f"{rect} by windows", (
-        (chosen, AffinePermutation(k, tuple(i - r if i in chosen else i + c for i in range(1, k + 2))))
-        for chosen in combinations(range(1, k + 2), c)
+        (gamma, AffinePermutation(k, tuple(i - r if g else i + c for i, g in enumerate(gamma, 1))))
+        for gamma in gamma_vectors(k, c)
     ))
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -111,7 +112,8 @@ def test_rect_command_all(capsys):
 
 
 def test_rect_command_all_prints_a_differing_formula_on_its_own(capsys, monkeypatch):
-    # equal formulas share x's document; one that differs gets its own
+    # formulas equal to the by_translations element share its document; when
+    # y itself differs, x, z and w each get their own, all three alike
     rect = Rectangle.with_rows(4, 3)
     by_translations = cli._FORMULAS["y"]
     short = AlgebraElement(4, by_translations(rect).items()[1:])
@@ -201,6 +203,26 @@ def test_rect_command_peels_no_word_when_the_formulas_agree(capsys, monkeypatch)
     assert [run_cli(capsys, *argv) for argv in argvs] == expected
     code, out, _ = expected[-1]
     assert code == 0 and len(ExpansionDocument.from_json(out).terms) == 35
+
+
+def test_rect_command_single_formula_prints_its_entry_under_all(capsys):
+    # one path builds the documents: `--formula F` prints what `--formula all`
+    # prints for F, as the entry under F in JSON and the block after
+    # `formula F:` in text
+    for k in range(1, 9):
+        for rect in all_rectangles(k):
+            argv = ["rect", "--k", str(k), "--rows", str(rect.rows), "--format"]
+            code, out, _ = run_cli(capsys, *argv, "json")
+            assert code == 0
+            entries = json.loads(out)["formulas"]
+            code, out, _ = run_cli(capsys, *argv, "text")
+            assert code == 0
+            blocks = dict(re.findall(r"^formula (\w):\n(.*?)(?=^formula |^equal: )", out, re.M | re.S))
+            assert list(blocks) == list(cli._FORMULAS)
+            for name in cli._FORMULAS:
+                code, out, _ = run_cli(capsys, *argv, "json", "--formula", name)
+                assert code == 0 and json.loads(out) == entries[name], (rect, name)
+                assert run_cli(capsys, *argv, "text", "--formula", name) == (0, blocks[name], ""), (rect, name)
 
 
 def test_rect_command_single_formula(capsys):

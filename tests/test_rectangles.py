@@ -191,9 +191,9 @@ REPEATED, DEAD = "repeats an earlier term", "the product is zero"
         (by_readings, "_skew_reading_word", lambda shape, inner, k: (1, 1), DEAD),
         (by_translations, "_pseudo_translation", lambda gamma: (AffinePermutation.identity(3), ()), REPEATED),
         (by_translations, "_pseudo_translation", lambda gamma: (None, ()), DEAD),
-        (by_columns, "cyclically_decreasing_word", lambda k, subset: (), REPEATED),
-        (by_columns, "cyclically_decreasing_word", lambda k, subset: (1, 1), DEAD),
-        (by_windows, "combinations", lambda positions, c: [tuple(positions)[:c]] * 2, REPEATED),
+        (by_columns, "h_words", lambda k, c: ((), ()), REPEATED),
+        (by_columns, "h_words", lambda k, c: ((1, 1),), DEAD),
+        (by_windows, "gamma_vectors", lambda k, c: [gamma_vectors(k, c)[0]] * 2, REPEATED),
     ],
     ids=[
         "readings-repeated", "readings-dead", "translations-repeated", "translations-dead",
@@ -218,6 +218,18 @@ def test_translation_words_are_the_reduced_words():
             kept = element._reduced  # seeded by the walk, not read yet
             assert [word for word, _ in kept] == [w.reduced_word() for w in element.support()], rect
             assert all(c == 1 for _, c in kept)
+
+
+def test_str_reads_the_kept_words(monkeypatch):
+    # by_translations keeps its walk words, so printing the element peels none
+    rect = Rectangle(6, 3, 4)
+    expected = str(by_translations(rect))
+
+    def refuse(w):
+        raise RuntimeError("reduced_word called")
+
+    monkeypatch.setattr(AffinePermutation, "reduced_word", refuse)
+    assert str(by_translations(rect)) == expected
 
 
 def test_every_formula_gives_the_same_document():
