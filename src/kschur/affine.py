@@ -27,6 +27,24 @@ def _check_rank(k: object) -> None:
         raise ValueError(f"rank parameter must be an integer >= 1, got {k!r}")
 
 
+def _ints(values: Iterable[object], what: str) -> tuple[int, ...]:
+    """The values as a tuple, each of type int: a float or bool compares
+    equal to an int, so the type is checked, not the value.  The one test
+    of an integer from outside: windows, partitions, rectangle sides and
+    documents go through it."""
+    values = tuple(values)
+    if any(type(v) is not int for v in values):
+        raise ValueError(f"{what} must be integers: {clip(values)}")
+    return values
+
+
+def clip(value: object) -> str:
+    """repr(value), cut after 200 characters with "…", so that an error
+    message that echoes a huge input stays short."""
+    text = repr(value)
+    return text if len(text) <= 200 else text[:200] + "…"
+
+
 @dataclass(frozen=True, slots=True)
 class AffinePermutation:
     """Element of the affine symmetric group generated by s_0, ..., s_k.
@@ -44,10 +62,8 @@ class AffinePermutation:
     def __post_init__(self):
         _check_rank(self.k)
         n = self.k + 1
-        window = tuple(self.window)
+        window = _ints(self.window, "window entries")
         object.__setattr__(self, "window", window)
-        if any(type(a) is not int for a in window):
-            raise ValueError(f"window entries must be integers: {window}")
         if len(window) != n:
             raise ValueError(f"window needs {n} entries, got {len(window)}")
         if sorted(a % n for a in window) != list(range(n)):

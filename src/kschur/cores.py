@@ -17,25 +17,16 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .affine import AffinePermutation
+from .affine import AffinePermutation, _ints, clip
 from .reports import IdentityError
 
 Partition = tuple[int, ...]
 
 
-def clip(value: object) -> str:
-    """repr(value), cut after 200 characters with "…", so that an error
-    message that echoes a huge input stays short."""
-    text = repr(value)
-    return text if len(text) <= 200 else text[:200] + "…"
-
-
 def as_partition(seq: Iterable[int]) -> Partition:
     """Validate and normalize a partition, dropping trailing zeros; every
-    part must have type int (a float or bool compares equal to one)."""
-    parts = tuple(seq)
-    if any(type(p) is not int for p in parts):
-        raise ValueError(f"partition parts must be integers: {clip(parts)}")
+    part must have type int (`_ints`)."""
+    parts = _ints(seq, "partition parts")
     end = len(parts)
     while end and parts[end - 1] == 0:
         end -= 1

@@ -11,8 +11,9 @@ key; the word is carried for readability and must be a reduced word for
 it, which the reader checks by folding the word from the identity once
 the window has k + 1 entries, so a huge k costs nothing.  Every value
 the schema types as int must be a JSON integer: floats and booleans are
-rejected.  A list index must be a k-bounded partition as written: positive,
-weakly decreasing parts of at most k, with no trailing zero.
+rejected by `affine._ints`.  A list index must be a k-bounded partition as
+written (`cores.as_bounded` returns it unchanged): positive, weakly
+decreasing parts of at most k, with no trailing zero.
 """
 
 from __future__ import annotations
@@ -22,24 +23,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
-from .affine import AffinePermutation, _check_rank, fold_reduced
+from .affine import AffinePermutation, _check_rank, _ints, fold_reduced
 from .cores import as_bounded
 from .nilcoxeter import AlgebraElement
 from .rectangles import Rectangle
 
 Index = Union[tuple[int, ...], Rectangle]
-
-
-def _integer(value) -> int:
-    """A JSON integer; JSON floats and booleans compare equal to integers
-    in Python, so the type is checked, not the value."""
-    if type(value) is not int:
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _integers(values) -> tuple[int, ...]:
-    return tuple(_integer(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -102,18 +91,18 @@ class ExpansionDocument:
         if isinstance(raw_index, dict):
             index: Index = Rectangle(k, cols=raw_index["cols"], rows=raw_index["rows"])
         else:
-            index = _integers(raw_index)
-            if as_bounded(index, k) != index:
-                raise ValueError(f"index {list(index)} has a zero part")
+            index = as_bounded(raw_index, k)
+            if index != tuple(raw_index):
+                raise ValueError(f"index {list(raw_index)} has a zero part")
         terms = []
         for t in data["terms"]:
-            window = _integers(t["window"])
+            window = _ints(t["window"], "window entries")
             if len(window) != k + 1:
                 raise ValueError(f"window needs {k + 1} entries, got {len(window)}")
             if terms and window <= terms[-1].window:
                 raise ValueError(f"window {window} does not follow {terms[-1].window}")
-            word = _integers(t["word"])
-            coeff = _integer(t["coeff"])
+            word = _ints(t["word"], "word letters")
+            (coeff,) = _ints((t["coeff"],), "coefficients")
             if coeff == 0:
                 raise ValueError("zero coefficient in document")
             win = list(range(1, k + 2))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .affine import AffinePermutation, _check_rank
+from .affine import AffinePermutation, _check_rank, _ints
 from .alcoves import _pseudo_translation, act_linear, fundamental_weight, gamma_vectors
 from .cores import (
     Partition,
@@ -59,10 +59,10 @@ class Rectangle:
 
     def __post_init__(self):
         _check_rank(self.k)
-        sides = (self.cols, self.rows)
-        if any(type(n) is not int or n < 1 for n in sides) or sum(sides) != self.k + 1:
+        sides = _ints((self.cols, self.rows), "rectangle sides")
+        if min(sides) < 1 or sum(sides) != self.k + 1:
             raise ValueError(
-                f"need integers cols, rows >= 1 with cols + rows = {self.k + 1}: "
+                f"need cols, rows >= 1 with cols + rows = {self.k + 1}: "
                 f"got cols={self.cols!r}, rows={self.rows!r}"
             )
 

@@ -11,8 +11,10 @@ from kschur.affine import (
     reflected,
     rotate_word,
 )
+from kschur.cores import as_partition
 from kschur.documents import ExpansionDocument
 from kschur.nilcoxeter import AlgebraElement
+from kschur.rectangles import Rectangle
 
 
 def random_element(rng, k, max_len=12):
@@ -29,9 +31,11 @@ def test_window_validation():
     with pytest.raises(ValueError):
         AffinePermutation(4, (1, 2, 3, 4))  # wrong size
     with pytest.raises(ValueError):
-        AffinePermutation(4, (1, 2, 3, 4, 10))  # repeated residue mod 5
+        AffinePermutation(4, (1, 2, 3, 4, 10))  # wrong sum; residues 1, 2, 3, 4, 0
     with pytest.raises(ValueError):
         AffinePermutation(4, (2, 3, 4, 5, 6))  # wrong sum
+    with pytest.raises(ValueError, match="distinct"):
+        AffinePermutation(2, (1, 4, 1))  # the right sum, but residues 1, 1, 1
     with pytest.raises(ValueError):
         AffinePermutation(0, (1,))
 
@@ -54,6 +58,35 @@ def test_window_validation():
 def test_window_constructor_requires_int_entries_and_rank(build):
     with pytest.raises(ValueError, match="integer"):
         build()
+
+
+def _read(index=(1,), window=(2, 1), word=(1,), coeff=1):
+    """Read the k = 1 document of the single term u_1 of index (1,)."""
+    term = {"window": list(window), "word": list(word), "coeff": coeff}
+    return ExpansionDocument.from_dict({"k": 1, "index": list(index), "terms": [term]})
+
+
+# every place an integer enters from outside, built from a value x that is
+# 1 when valid; a float or bool x compares equal to 1
+OUTSIDE_INTEGERS = {
+    "window entry": lambda x: AffinePermutation(1, (2, x)),
+    "partition part": lambda x: as_partition((2, x)),
+    "rectangle cols": lambda x: Rectangle(1, x, 1),
+    "rectangle rows": lambda x: Rectangle(1, 1, x),
+    "document window": lambda x: _read(window=(2, x)),
+    "document word": lambda x: _read(word=(x,)),
+    "document coeff": lambda x: _read(coeff=x),
+    "document index": lambda x: _read(index=(x,)),
+}
+
+
+@pytest.mark.parametrize("convert", [float, bool], ids=["float", "bool"])
+@pytest.mark.parametrize("place", list(OUTSIDE_INTEGERS))
+def test_every_outside_integer_is_checked_by_type(place, convert):
+    build = OUTSIDE_INTEGERS[place]
+    build(1)
+    with pytest.raises(ValueError, match="must be integers"):
+        build(convert(1))
 
 
 @pytest.mark.parametrize("k", [0, True, 2.0])

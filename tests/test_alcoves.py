@@ -290,6 +290,13 @@ def test_simple_roots():
         assert all(x == 0 for x in total)  # the simple roots sum to zero
 
 
+def test_weight_and_root_indices_lie_in_0_to_k():
+    with pytest.raises(ValueError, match="weight index"):
+        fundamental_weight(3, 4)
+    with pytest.raises(ValueError, match="root index"):
+        simple_root(3, -1)
+
+
 def test_is_dominant():
     assert is_dominant(fundamental_weight(4, 2))
     assert not is_dominant((0, 1, 0))

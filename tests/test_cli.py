@@ -51,6 +51,8 @@ def test_parse_generator_chain():
     assert parse_generator_chain("s2,s0, s1") == [("s", 2), ("s", 0), ("s", 1)]
     with pytest.raises(Exception):
         parse_generator_chain("q7")
+    with pytest.raises(cli.UsageError, match="empty generator chain"):
+        parse_generator_chain(",")
 
 
 def test_kschur_command_json(capsys, tmp_path, monkeypatch):
@@ -655,6 +657,14 @@ def test_document_rejects_non_integer_values(path, convert):
         ExpansionDocument.from_dict(data)
 
 
+def test_document_rejects_a_zero_coefficient():
+    data = ExpansionDocument.from_element((1,), h(2, 1)).to_dict()
+    ExpansionDocument.from_dict(data)
+    data["terms"][1]["coeff"] = 0
+    with pytest.raises(ValueError, match="zero coefficient"):
+        ExpansionDocument.from_dict(data)
+
+
 def test_document_rejects_non_integer_rectangle_index():
     data = ExpansionDocument.from_element(Rectangle(2, cols=1, rows=2), h(2, 1)).to_dict()
     for key, value in (("rows", 2.0), ("cols", True)):
@@ -1076,6 +1086,25 @@ def test_cache_unwritable_directory_warns(tmp_path, capsys, monkeypatch):
         (line,) = err.splitlines()
         assert line.startswith("warning: cannot write cache entry")
     assert not_a_dir.read_text() == ""
+
+
+def test_cache_failed_rename_leaves_nothing_behind(tmp_path, capsys, monkeypatch):
+    """A put whose rename fails warns once and removes its temp file, so
+    the key's directory holds neither a temp file nor an entry."""
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    cache = ExpansionCache(tmp_path)
+    doc = ExpansionDocument.from_element((2, 1), kschur(3, (2, 1)))
+    monkeypatch.setattr("kschur.cache.os.replace", refuse)
+    cache.put(doc)
+    monkeypatch.undo()
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("warning: cannot write cache entry")
+    assert list((tmp_path / "3").iterdir()) == []
+    assert cache.get(3, (2, 1)) is None
+    assert capsys.readouterr().err == ""
 
 
 def test_cache_atomic_write_preserves_other_keys(tmp_path, capsys):

@@ -117,6 +117,11 @@ def test_unit_is_neutral():
         assert unit * a == a
 
 
+def test_integer_scalar_multiplies_on_either_side():
+    assert h(3, 1) * 2 == 2 * h(3, 1)
+    assert (h(3, 1) * 2).coefficient(AffinePermutation.from_word(3, (1,))) == 2
+
+
 def test_multiply_rank_mismatch():
     with pytest.raises(ValueError):
         AlgebraElement.unit(2) * AlgebraElement.unit(3)
@@ -173,6 +178,17 @@ def test_cyclically_decreasing_rejects_full_set():
         cyclically_decreasing_word(4, {0, 1, 2, 3, 4})
     with pytest.raises(ValueError):
         cyclically_decreasing_word(4, {5})
+
+
+def test_cyclically_decreasing_element_is_its_word_of_length_the_subset_size():
+    for k in range(1, 6):
+        for size in range(k + 1):
+            for subset in combinations(range(k + 1), size):
+                w = cyclically_decreasing(k, subset)
+                assert w == AffinePermutation.from_word(k, cyclically_decreasing_word(k, subset))
+                assert w.length() == size
+        with pytest.raises(ValueError):
+            cyclically_decreasing(k, range(k + 1))
 
 
 def test_cyclically_decreasing_adjacency_order():
@@ -296,6 +312,8 @@ def test_h_action_on_empty_core_matches_subset_enumeration():
 def test_act_on_core_word_form():
     assert act_on_core((1,), (6, 4, 3, 1), k=4) == {(7, 4, 4, 1, 1): 1}
     assert act_on_core((0,), (6, 4, 3, 1), k=4) == {}
+    with pytest.raises(ValueError, match="k is required"):
+        act_on_core((1,), (6, 4, 3, 1))
 
 
 def test_act_on_core_rejects_an_index_past_k():

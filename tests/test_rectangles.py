@@ -257,6 +257,14 @@ def test_column_choice_extremes():
         column_choice(rect, (3,))
 
 
+def test_a_partition_with_more_rows_is_not_contained():
+    # (1, 1, 1, 1) has every part within (2, 2, 2) but one row more
+    rect = Rectangle(4, cols=2, rows=3)
+    for read in (translation_weight, column_choice):
+        with pytest.raises(ValueError, match="not contained"):
+            read(rect, (1, 1, 1, 1))
+
+
 def test_column_choice_matches_readings():
     # the reading-word term of each contained partition is the column
     # term of its subset
