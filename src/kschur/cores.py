@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .affine import AffinePermutation, _ints, clip
+from .affine import AffinePermutation, _check_rank, _ints, clip
 from .reports import IdentityError
 
 Partition = tuple[int, ...]
@@ -81,6 +81,7 @@ def content(row: int, col: int, k: int) -> int:
     >>> content(3, 1, 4)
     3
     """
+    _check_rank(k)
     return (col - row) % (k + 1)
 
 
@@ -105,6 +106,7 @@ def is_core(parts: Sequence[int], k: int) -> bool:
     >>> is_core((3,), 2)
     False
     """
+    _check_rank(k)
     return _is_core(as_partition(parts), k)
 
 
@@ -200,6 +202,7 @@ def skew_reading_word(outer: Partition, inner: Partition, k: int) -> tuple[int, 
     >>> skew_reading_word((2, 2, 2), (), 4)
     (4, 3, 0, 4, 1, 0)
     """
+    _check_rank(k)
     outer = as_partition(outer)
     inner = as_partition(inner)
     if not contains(outer, inner):
@@ -267,6 +270,7 @@ def bounded_to_core(parts: Sequence[int], k: int) -> Partition:
     of `core_to_bounded`: from the last row up, the bead of row r is the
     smallest one above the bead below whose short hooks number parts[r]
     (a larger bead with as many leaves a hook of length k+1)."""
+    _check_rank(k)
     parts = as_bounded(parts, k)
     beads: set[int] = set()
     bead = -len(parts)
@@ -281,6 +285,7 @@ def bounded_to_core(parts: Sequence[int], k: int) -> Partition:
 def core_to_bounded(parts: Sequence[int], k: int) -> Partition:
     """The k-bounded partition corresponding to a (k+1)-core: row r, whose
     bead is parts[r] - r, keeps its cells of hook length at most k."""
+    _check_rank(k)
     parts = as_partition(parts)
     if not _is_core(parts, k):
         raise ValueError(f"{parts} is not a {k + 1}-core")

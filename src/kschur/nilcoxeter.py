@@ -186,6 +186,8 @@ class AlgebraElement:
     def times_generator(self, i: int, side: str = "right") -> "AlgebraElement":
         """Product with a single generator u_i on the given side: distinct
         terms stay distinct, as w -> w s_i and w -> s_i w are bijections."""
+        if not 0 <= i <= self.k:
+            raise ValueError(f"generator index must be in 0..{self.k}, got {i}")
         return AlgebraElement._of_windows(self.k, _fold(_side_fold(side), self._terms, [((i,), 1)]))
 
     def _check_rank(self, other: "AlgebraElement") -> None:
@@ -304,13 +306,15 @@ def act_on_core(
 ) -> dict[Partition, int]:
     """Linear action on the free abelian group with basis the cores.
 
-    x is an AlgebraElement, or a word of generator indices with k given
-    explicitly.  Returns the formal sum as a dict core -> coefficient.  An
-    element acts by the reduced words of its terms, which it reads once and
-    keeps, so acting on many cores reads them once; distinct terms carry a
-    core to distinct cores (see `cores.word_images`).
+    x is an AlgebraElement, of rank k if k is given, or a word of generator
+    indices with k given explicitly.  Returns the formal sum as a dict
+    core -> coefficient.  An element acts by the reduced words of its terms,
+    which it reads once and keeps, so acting on many cores reads them once;
+    distinct terms carry a core to distinct cores (see `cores.word_images`).
     """
     if isinstance(x, AlgebraElement):
+        if k is not None and k != x.k:
+            raise ValueError(f"rank mismatch: element has k={x.k}, got k={k}")
         return word_images(as_partition(core), x._words(), x.k)
     if k is None:
         raise ValueError("k is required when acting by a word")

@@ -533,6 +533,7 @@ def test_core_command_word(capsys):
     w = AffinePermutation.from_word(2, payload["word"])
     assert list(w.window) == payload["window"]
     assert w.length() == 6
+    assert run_cli(capsys, "core", "--k", "2", "word", "2,1,1,1,1") == (0, "2 0 1 2 1 0\n", "")
 
 
 @pytest.mark.parametrize(

@@ -257,6 +257,22 @@ def test_core_actions_reject_a_non_partition(parts, message):
             act()
 
 
+@pytest.mark.parametrize("k", [-1, 0, True])
+def test_core_functions_reject_a_rank_below_one_or_not_an_int(k):
+    # a rank below 1 names no affine group, and at k = -1 content and the
+    # reading words would divide by k + 1 = 0
+    for call in (
+        lambda: is_core((5, 3), k),
+        lambda: core_to_bounded((5, 3), k),
+        lambda: bounded_to_core((), k),
+        lambda: content(1, 1, k),
+        lambda: skew_reading_word((1,), (), k),
+        lambda: reading_word((1,), k),
+    ):
+        with pytest.raises(ValueError, match="rank parameter must be an integer >= 1"):
+            call()
+
+
 def test_u_and_s_agree_when_nonnull():
     rng = random.Random(2)
     for _ in range(150):

@@ -101,6 +101,16 @@ def test_left_generator_matches_product_and_length():
         AlgebraElement.unit(4).times_generator(1, "middle")
 
 
+@pytest.mark.parametrize("i", [99, -1])
+def test_times_generator_checks_the_index_without_a_term(i):
+    # the fold checks an index only when it meets a term, and the zero
+    # element has none
+    for element in (AlgebraElement.zero(3), h(3, 1)):
+        for side in ("left", "right"):
+            with pytest.raises(ValueError, match=f"generator index must be in 0..3, got {i}"):
+                element.times_generator(i, side)
+
+
 def test_zero_coefficients_dropped():
     w = AffinePermutation.identity(3)
     assert AlgebraElement(3, [(w, 1), (w, -1)]).is_zero()
@@ -314,6 +324,12 @@ def test_act_on_core_word_form():
     assert act_on_core((0,), (6, 4, 3, 1), k=4) == {}
     with pytest.raises(ValueError, match="k is required"):
         act_on_core((1,), (6, 4, 3, 1))
+
+
+def test_act_on_core_rejects_a_rank_other_than_the_elements():
+    assert act_on_core(h(3, 1), (), k=3) == {(1,): 1}
+    with pytest.raises(ValueError, match="rank mismatch: element has k=3, got k=7"):
+        act_on_core(h(3, 1), (), k=7)
 
 
 def test_act_on_core_rejects_an_index_past_k():
