@@ -64,10 +64,8 @@ class AffinePermutation:
         n = self.k + 1
         window = _ints(self.window, "window entries")
         object.__setattr__(self, "window", window)
-        if len(window) != n:
-            raise ValueError(f"window needs {n} entries, got {len(window)}")
-        if sorted(a % n for a in window) != list(range(n)):
-            raise ValueError(f"window entries are not distinct mod {n}: {window}")
+        if sorted(a % n for a in window) != list(range(n)):  # also a short or long window
+            raise ValueError(f"window needs {n} entries distinct mod {n}, got {clip(window)}")
         if sum(window) != n * (n + 1) // 2:
             raise ValueError(f"window sum must be {n * (n + 1) // 2}, got {sum(window)}")
 

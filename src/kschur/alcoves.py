@@ -33,29 +33,19 @@ def add_points(p: Sequence, q: Sequence) -> Point:
     return tuple(Fraction(a) + Fraction(b) for a, b in zip(p, q))
 
 
-def _wall_rank(i: int, p: Sequence) -> int:
-    """The rank k = len(p) - 1 of a point, once it is checked that k >= 1
-    and that i names one of the walls 0..k."""
-    k = len(p) - 1
-    if k < 1:
-        raise ValueError(f"a point needs at least 2 coordinates (k >= 1), got {len(p)}")
-    if not 0 <= i <= k:
-        raise ValueError(f"wall index must be in 0..{k}, got {i}")
-    return k
-
-
 def reflect(i: int, p: Sequence) -> Point:
     """The affine reflection of a point across the i-th wall: `act` of s_i.
 
     For i != 0 this swaps coordinates i and i+1; for i = 0 it exchanges
-    the first and last coordinates with a unit shift.
+    the first and last coordinates with a unit shift.  A point of fewer than
+    2 coordinates (`identity`) or an i outside 0..k (the fold) raises ValueError.
     """
-    return act(AffinePermutation.identity(_wall_rank(i, p)).right_mult(i), p)
+    return act(AffinePermutation.identity(len(p) - 1).right_mult(i), p)
 
 
 def reflect_linear(i: int, p: Sequence) -> Point:
     """Linear part of reflect: the plain coordinate swap, no shift."""
-    return act_linear(AffinePermutation.identity(_wall_rank(i, p)).right_mult(i), p)
+    return act_linear(AffinePermutation.identity(len(p) - 1).right_mult(i), p)
 
 
 def _sources(w: AffinePermutation, p: Sequence) -> Iterator[tuple[int, int]]:

@@ -28,14 +28,20 @@ def test_identity_window():
 
 
 def test_window_validation():
-    with pytest.raises(ValueError):
-        AffinePermutation(4, (1, 2, 3, 4))  # wrong size
+    # the residue test refuses a short or long window too, in the same message
+    with pytest.raises(ValueError, match=r"needs 5 entries distinct mod 5, got \(1, 2, 3, 4\)$"):
+        AffinePermutation(4, (1, 2, 3, 4))
+    with pytest.raises(ValueError, match="needs 5 entries distinct mod 5"):
+        AffinePermutation(4, (1, 2, 3, 4, 5, 6))
     with pytest.raises(ValueError):
         AffinePermutation(4, (1, 2, 3, 4, 10))  # wrong sum; residues 1, 2, 3, 4, 0
     with pytest.raises(ValueError):
         AffinePermutation(4, (2, 3, 4, 5, 6))  # wrong sum
-    with pytest.raises(ValueError, match="distinct"):
+    with pytest.raises(ValueError, match="needs 3 entries distinct mod 3"):
         AffinePermutation(2, (1, 4, 1))  # the right sum, but residues 1, 1, 1
+    with pytest.raises(ValueError) as raised:
+        AffinePermutation(999, (1,) * 1000)
+    assert len(str(raised.value)) < 300  # the window is echoed clipped
     with pytest.raises(ValueError):
         AffinePermutation(0, (1,))
 

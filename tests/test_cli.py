@@ -19,6 +19,7 @@ from kschur.cli import (
     RECT_K_CEILING,
     SIZE_CEILING,
     WORD_K_CEILING,
+    UsageError,
     main,
     parse_generator_chain,
     parse_partition,
@@ -359,7 +360,8 @@ def test_verify_command_bad_kmax(capsys):
 
 
 def test_verify_command_kmax_ceiling(capsys):
-    # above the measured reach a sweep would run for hours: refused at once
+    # memory, not time, sets the ceiling: on a 2-vCPU machine `verify --kmax 9
+    # --suite all` ran in 128.9 s but peaked at 2,526 MB; refused at once
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "verify", "--kmax", "9", "--suite", "all")
     assert time.perf_counter() - start < 1
@@ -562,6 +564,12 @@ def test_core_command_argument_errors(capsys):
     code, out, err = run_cli(capsys, "core", "--k", "3", "act", "u" + "1" * 5000, "")
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+    # beside a valid letter, so that dropping the long one would act as u1
+    long_index = "u1u" + "9" * 5000
+    with pytest.raises(UsageError, match="at position 2 is too long"):
+        parse_generator_chain(long_index)
+    code, out, err = run_cli(capsys, "core", "--k", "3", "act", long_index, "")
+    assert (code, out, err) == (2, "", "error: generator index at position 2 is too long\n")
 
 
 @pytest.mark.parametrize(
@@ -663,6 +671,18 @@ def test_document_rejects_a_zero_coefficient():
     ExpansionDocument.from_dict(data)
     data["terms"][1]["coeff"] = 0
     with pytest.raises(ValueError, match="zero coefficient"):
+        ExpansionDocument.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "reorder",
+    [lambda terms: terms[::-1], lambda terms: [terms[0], terms[0]]],
+    ids=["swapped", "repeated"],
+)
+def test_document_rejects_terms_out_of_window_order(reorder):
+    data = ExpansionDocument.from_element((1,), h(2, 1)).to_dict()
+    data["terms"] = reorder(data["terms"][:2])
+    with pytest.raises(ValueError, match="does not follow"):
         ExpansionDocument.from_dict(data)
 
 

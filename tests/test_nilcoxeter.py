@@ -201,6 +201,14 @@ def test_cyclically_decreasing_element_is_its_word_of_length_the_subset_size():
             cyclically_decreasing(k, range(k + 1))
 
 
+def test_cyclically_decreasing_refuses_a_word_that_is_not_reduced(monkeypatch):
+    # distinct letters are always reduced, so only a faulty word builder
+    # reaches the check: the element must raise, not be None
+    monkeypatch.setattr(nilcoxeter, "cyclically_decreasing_word", lambda k, indices: (1, 1))
+    with pytest.raises(IdentityError, match="is not reduced"):
+        cyclically_decreasing(3, {1})
+
+
 def test_cyclically_decreasing_adjacency_order():
     # whenever j and j+1 both occur, j+1 is written before j
     for k in range(1, 6):
@@ -258,6 +266,9 @@ def test_h_product_bounds():
     assert h_product(3, ()) == AlgebraElement.unit(3)
     with pytest.raises(ValueError):
         h_product(3, (4,))
+    # h_0 is the unit, so without the check a part 0 would pass unnoticed
+    with pytest.raises(ValueError, match=r"parts must be in 1\.\.3, got 0"):
+        h_product(3, (0,))
 
 
 def test_h_product_order_invariant():

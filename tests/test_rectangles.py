@@ -255,6 +255,12 @@ def test_column_choice_extremes():
     assert column_choice(rect, (2, 2, 2)) == (0, 1)
     with pytest.raises(ValueError):
         column_choice(rect, (3,))
+    # only a rectangle built past its checks reaches the residue check: at
+    # k = 1 with cols = 3 the labels 0, 1, 0 collide mod 2
+    forged = object.__new__(Rectangle)
+    forged.__dict__.update(k=1, cols=3, rows=1)
+    with pytest.raises(IdentityError, match="are not 3 distinct residues"):
+        column_choice(forged, ())
 
 
 def test_a_partition_with_more_rows_is_not_contained():
