@@ -30,12 +30,19 @@ def _check_rank(k: object) -> None:
 def _ints(values: Iterable[object], what: str) -> tuple[int, ...]:
     """The values as a tuple, each of type int: a float or bool compares
     equal to an int, so the type is checked, not the value.  The one test
-    of an integer from outside: windows, partitions, rectangle sides and
-    documents go through it."""
+    of an integer from outside: windows, partitions, rectangle sides,
+    weights, directions and documents go through it."""
     values = tuple(values)
     if any(type(v) is not int for v in values):
         raise ValueError(f"{what} must be integers: {clip(values)}")
     return values
+
+
+def _index(i: object, lo: int, hi: int, what: str) -> None:
+    """Refuse an i that is not an int in lo..hi: the one test of an index
+    from outside.  As in `_ints`, the type is checked, not only the value."""
+    if type(i) is not int or not lo <= i <= hi:
+        raise ValueError(f"{what} must be in {lo}..{hi}, got {clip(i)}")
 
 
 def clip(value: object) -> str:

@@ -18,7 +18,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
-from .affine import AffinePermutation, peel_descents
+from .affine import AffinePermutation, _index, _ints, clip, peel_descents
 from .reports import IdentityError
 
 Point = tuple[Fraction, ...]
@@ -83,14 +83,12 @@ def label(weight: Sequence[int]) -> int:
 def fundamental_weight(k: int, i: int) -> Weight:
     """The 0/1 vector with i leading ones; the label-i vertex of the
     fundamental alcove (i = 0 gives the origin)."""
-    if not 0 <= i <= k:
-        raise ValueError(f"weight index must be in 0..{k}, got {i}")
+    _index(i, 0, k, "weight index")
     return (1,) * i + (0,) * (k + 1 - i)
 
 
 def simple_root(k: int, i: int) -> Weight:
-    if not 0 <= i <= k:
-        raise ValueError(f"root index must be in 0..{k}, got {i}")
+    _index(i, 0, k, "root index")
     if i == 0:
         return (-1,) + (0,) * (k - 1) + (1,)
     e = [0] * (k + 1)
@@ -157,10 +155,9 @@ def _walk(q: list[int], d: int) -> tuple[AffinePermutation, tuple[int, ...]]:
 def pseudo_translation(gamma: Sequence[int]) -> AffinePermutation:
     """The element carrying the fundamental alcove to its translate by
     an integer weight (acting on other alcoves it translates them too,
-    generally in different directions)."""
-    if any(int(x) != x for x in gamma):
-        raise ValueError(f"weight must be integral: {gamma}")
-    return _pseudo_translation([int(x) for x in gamma])[0]
+    generally in different directions); every entry must have type int
+    (`affine._ints`)."""
+    return _pseudo_translation(_ints(gamma, "weight entries"))[0]
 
 
 def _pseudo_translation(gamma: Sequence[int]) -> tuple[AffinePermutation, tuple[int, ...]]:
@@ -186,9 +183,9 @@ def _pseudo_translation(gamma: Sequence[int]) -> tuple[AffinePermutation, tuple[
 def translation(alpha: Sequence[int]) -> AffinePermutation:
     """Translation by the negative of a root lattice vector: the element
     t with t acting on every point p as p - alpha; `pseudo_translation`
-    checks that alpha is integral."""
+    checks that its entries are ints."""
     if sum(alpha) != 0:
-        raise ValueError(f"root lattice vector must sum to 0: {alpha}")
+        raise ValueError(f"root lattice vector must sum to 0: {clip(alpha)}")
     return pseudo_translation(alpha)
 
 

@@ -30,7 +30,7 @@ import tempfile
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .affine import inverted, reflected, rotated
+from .affine import clip, inverted, reflected, rotated
 from .documents import ExpansionDocument
 from .nilcoxeter import certify
 from .reports import IdentityError
@@ -53,10 +53,10 @@ class ExpansionCache:
         try:
             doc = ExpansionDocument.from_json(path.read_text())
             if doc.k != k or doc.index != lam:
-                raise ValueError(f"holds the document of k={doc.k} index {doc.index}")
+                raise ValueError(f"holds the document of k={doc.k} index {clip(doc.index)}")
             # the reader proved each word reduced for its window
             if stray := [t.word for t in doc.terms if len(t.word) != sum(lam)]:
-                raise ValueError(f"the term of word {stray[0]} is not of degree {sum(lam)}")
+                raise ValueError(f"the term of word {clip(stray[0])} is not of degree {sum(lam)}")
             terms = {t.window: t.coeff for t in doc.terms}
             if {rotated(w, 1): c for w, c in terms.items()} != terms:
                 raise ValueError("the terms are not fixed by the Dynkin rotation")

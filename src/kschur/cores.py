@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .affine import AffinePermutation, _check_rank, _ints, clip
+from .affine import AffinePermutation, _check_rank, _index, _ints, clip
 from .reports import IdentityError
 
 Partition = tuple[int, ...]
@@ -159,12 +159,12 @@ def apply_letters(
     parts: Sequence[int], letters: Sequence[tuple[str, int]], k: int
 ) -> Optional[Partition]:
     """Act on a core by letters ("s", i) for s_i and ("u", i) for u_i,
-    rightmost letter first; None once a u_i finds no addable corner.  Every
-    index is checked first, also those after a u_i that kills the core, and
-    the parts are validated once, before any letter acts."""
+    rightmost letter first; None once a u_i finds no addable corner.  The
+    rank and every index are checked first, also those after a u_i that
+    kills the core, and the parts are validated once, before any letter acts."""
+    _check_rank(k)
     for _, i in letters:
-        if not 0 <= i <= k:
-            raise ValueError(f"generator index must be in 0..{k}, got {i}")
+        _index(i, 0, k, "generator index")
     return _apply_letters(as_partition(parts), letters, k)
 
 
@@ -206,7 +206,7 @@ def skew_reading_word(outer: Partition, inner: Partition, k: int) -> tuple[int, 
     outer = as_partition(outer)
     inner = as_partition(inner)
     if not contains(outer, inner):
-        raise ValueError(f"inner shape {inner} not contained in outer {outer}")
+        raise ValueError(f"inner shape {clip(inner)} not contained in outer {clip(outer)}")
     return _skew_reading_word(outer, inner, k)
 
 
@@ -288,7 +288,7 @@ def core_to_bounded(parts: Sequence[int], k: int) -> Partition:
     _check_rank(k)
     parts = as_partition(parts)
     if not _is_core(parts, k):
-        raise ValueError(f"{parts} is not a {k + 1}-core")
+        raise ValueError(f"{clip(parts)} is not a {k + 1}-core")
     beads = {p - r for r, p in enumerate(parts)}
     return as_partition(_short_hooks(beads, p - r, k, len(parts)) for r, p in enumerate(parts))
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
-from .affine import AffinePermutation, _check_rank, _ints, fold_reduced
+from .affine import AffinePermutation, _check_rank, _ints, clip, fold_reduced
 from .cores import as_bounded
 from .nilcoxeter import AlgebraElement
 from .rectangles import Rectangle
@@ -93,21 +93,21 @@ class ExpansionDocument:
         else:
             index = as_bounded(raw_index, k)
             if index != tuple(raw_index):
-                raise ValueError(f"index {list(raw_index)} has a zero part")
+                raise ValueError(f"index {clip(list(raw_index))} has a zero part")
         terms = []
         for t in data["terms"]:
             window = _ints(t["window"], "window entries")
             if len(window) != k + 1:
                 raise ValueError(f"window needs {k + 1} entries, got {len(window)}")
             if terms and window <= terms[-1].window:
-                raise ValueError(f"window {window} does not follow {terms[-1].window}")
+                raise ValueError(f"window {clip(window)} does not follow the window before it")
             word = _ints(t["word"], "word letters")
             (coeff,) = _ints((t["coeff"],), "coefficients")
             if coeff == 0:
                 raise ValueError("zero coefficient in document")
             win = list(range(1, k + 2))
             if not fold_reduced(win, word) or tuple(win) != window:
-                raise ValueError(f"word {word} is not reduced for window {window}")
+                raise ValueError(f"word {clip(word)} is not reduced for window {clip(window)}")
             terms.append(Term(window=window, word=word, coeff=coeff))
         return cls(k=k, index=index, terms=tuple(terms))
 

@@ -25,7 +25,15 @@ import functools
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .affine import AffinePermutation, fold_reduced, fold_reduced_left, reflected
+from .affine import (
+    AffinePermutation,
+    _check_rank,
+    _index,
+    clip,
+    fold_reduced,
+    fold_reduced_left,
+    reflected,
+)
 from .cores import (
     Partition,
     apply_word_nil,
@@ -76,6 +84,7 @@ class AlgebraElement:
         k: int,
         terms: Union[Mapping[AffinePermutation, int], Iterable[tuple[AffinePermutation, int]]] = (),
     ):
+        _check_rank(k)
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[tuple[int, ...], int] = {}
         for w, c in items:
@@ -186,8 +195,7 @@ class AlgebraElement:
     def times_generator(self, i: int, side: str = "right") -> "AlgebraElement":
         """Product with a single generator u_i on the given side: distinct
         terms stay distinct, as w -> w s_i and w -> s_i w are bijections."""
-        if not 0 <= i <= self.k:
-            raise ValueError(f"generator index must be in 0..{self.k}, got {i}")
+        _index(i, 0, self.k, "generator index")
         return AlgebraElement._of_windows(self.k, _fold(_side_fold(side), self._terms, [((i,), 1)]))
 
     def _check_rank(self, other: "AlgebraElement") -> None:
@@ -229,9 +237,9 @@ def cyclically_decreasing_word(k: int, indices: Iterable[int]) -> tuple[int, ...
     n = k + 1
     subset = set(indices)
     if not subset <= set(range(n)):
-        raise ValueError(f"indices must lie in 0..{k}: {sorted(subset)}")
+        raise ValueError(f"indices must lie in 0..{k}: {clip(sorted(subset))}")
     if len(subset) > k:
-        raise ValueError(f"subset must be strict in 0..{k}: {sorted(subset)}")
+        raise ValueError(f"subset must be strict in 0..{k}: {clip(sorted(subset))}")
     word: list[int] = []
     for tail in sorted(subset):
         if (tail - 1) % n in subset:
@@ -264,12 +272,13 @@ def h(k: int, i: int) -> AlgebraElement:
     return distinct_sum(k, f"h_{i} at k={k}", ((word, e.times_reduced(word)) for word in h_words(k, i)))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def h_words(k: int, i: int) -> tuple[tuple[int, ...], ...]:
     """The binomial(k+1, i) cyclically decreasing words of h_i, one for
-    each i-subset of the generator indices, built once until `clear_memo`."""
-    if not 0 <= i <= k:
-        raise ValueError(f"h index must be in 0..{k}, got {i}")
+    each i-subset of the generator indices, built once until `clear_memo`;
+    typed, so that a float or bool i, equal to an int, is not read from the
+    memo unchecked."""
+    _index(i, 0, k, "h index")
     return tuple(cyclically_decreasing_word(k, subset) for subset in combinations(range(k + 1), i))
 
 
@@ -293,8 +302,7 @@ def h_product(k: int, mu: Sequence[int]) -> AlgebraElement:
     order of the parts does not matter."""
     result = AlgebraElement.unit(k)
     for part in mu:
-        if not 1 <= part <= k:
-            raise ValueError(f"parts must be in 1..{k}, got {part}")
+        _index(part, 1, k, "parts")
         result = result * h(k, part)
     return result
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .affine import AffinePermutation, _check_rank, _ints
+from .affine import AffinePermutation, _check_rank, _ints, clip
 from .alcoves import _pseudo_translation, act_linear, fundamental_weight, gamma_vectors
 from .cores import (
     Partition,
@@ -139,7 +139,7 @@ def column_choice(rect: Rectangle, nu: Sequence[int]) -> tuple[int, ...]:
     k, c, r = rect.k, rect.cols, rect.rows
     nu = as_partition(nu)
     if not contains(rect.partition(), nu):
-        raise ValueError(f"{nu} not contained in {rect.partition()}")
+        raise ValueError(f"{clip(nu)} not contained in {clip(rect.partition())}")
     n = k + 1
 
     def part(d: int) -> int:
@@ -163,7 +163,7 @@ def translation_weight(rect: Rectangle, nu: Sequence[int]) -> tuple[int, ...]:
     group element on the dominant 0/1 weight with c ones."""
     nu = as_partition(nu)
     if not contains(rect.partition(), nu):
-        raise ValueError(f"{nu} not contained in {rect.partition()}")
+        raise ValueError(f"{clip(nu)} not contained in {clip(rect.partition())}")
     w = w_of_partition(nu, rect.k)
     weight = act_linear(w, fundamental_weight(rect.k, rect.cols))
     return tuple(int(x) for x in weight)
@@ -175,10 +175,10 @@ def transpose_weight(rect: Rectangle, gamma: Sequence[int]) -> tuple[int, ...]:
     window of pseudo_translation(gamma) is j - (k+1) gamma_j + |gamma|, and
     the reflection conjugates by j -> 1 - j: it reverses gamma and swaps
     its zeros and ones."""
-    gamma = tuple(gamma)
+    gamma = _ints(gamma, "direction entries")
     c = rect.cols
     if sorted(gamma) != [0] * (rect.rows) + [1] * c:
-        raise ValueError(f"direction must be 0/1 with {c} ones: {gamma}")
+        raise ValueError(f"direction must be 0/1 with {c} ones: {clip(gamma)}")
     return tuple(1 - x for x in reversed(gamma))
 
 

@@ -11,10 +11,11 @@ from kschur.affine import (
     reflected,
     rotate_word,
 )
-from kschur.cores import as_partition
+from kschur.alcoves import fundamental_weight, pseudo_translation, simple_root, translation
+from kschur.cores import apply_letters, as_partition, core_to_bounded, skew_reading_word
 from kschur.documents import ExpansionDocument
-from kschur.nilcoxeter import AlgebraElement
-from kschur.rectangles import Rectangle
+from kschur.nilcoxeter import AlgebraElement, cyclically_decreasing_word, h, h_product, h_words
+from kschur.rectangles import Rectangle, column_choice, translation_weight, transpose_weight
 
 
 def random_element(rng, k, max_len=12):
@@ -83,6 +84,8 @@ OUTSIDE_INTEGERS = {
     "document word": lambda x: _read(word=(x,)),
     "document coeff": lambda x: _read(coeff=x),
     "document index": lambda x: _read(index=(x,)),
+    "weight": lambda x: pseudo_translation((x, 0, 0)),
+    "rectangle direction": lambda x: transpose_weight(Rectangle(3, 2, 2), (x, 1, 0, 0)),
 }
 
 
@@ -93,6 +96,58 @@ def test_every_outside_integer_is_checked_by_type(place, convert):
     build(1)
     with pytest.raises(ValueError, match="must be integers"):
         build(convert(1))
+
+
+# every place an index enters from outside, built from a value i that is
+# 1 when valid; a float or bool i compares equal to 1
+OUTSIDE_INDICES = {
+    "element generator": lambda i: h(2, 1).times_generator(i),
+    "core letter": lambda i: apply_letters((), [("u", i)], 2),
+    "h index": lambda i: h_words(2, i),
+    "h_product part": lambda i: h_product(2, (i,)),
+    "weight index": lambda i: fundamental_weight(2, i),
+    "root index": lambda i: simple_root(2, i),
+}
+
+
+@pytest.mark.parametrize("convert", [float, bool], ids=["float", "bool"])
+@pytest.mark.parametrize("place", list(OUTSIDE_INDICES))
+def test_every_outside_index_is_checked_by_type(place, convert):
+    build = OUTSIDE_INDICES[place]
+    build(1)
+    with pytest.raises(ValueError, match=rf"must be in [01]\.\.2, got {convert(1)}$"):
+        build(convert(1))
+
+
+HUGE = (1,) * 50_000
+IDENTITY_TERM = {"window": list(range(1, 1001)), "word": [], "coeff": 1}
+
+# every message that echoes an outside input of any size, on a huge one
+ECHOES = {
+    "weight": (lambda: pseudo_translation((0.5,) * 50_000), "must be integers"),
+    "root lattice vector": (lambda: translation((0.5,) * 50_000), "must sum to 0"),
+    "skew shape": (lambda: skew_reading_word((1,), HUGE, 2), "not contained"),
+    "core": (lambda: core_to_bounded((5,) * 50_000, 3), "is not a 4-core"),
+    "indices": (lambda: cyclically_decreasing_word(3, range(50_000)), "must lie in"),
+    "subset": (lambda: cyclically_decreasing_word(50_000, range(50_001)), "must be strict"),
+    "column_choice": (lambda: column_choice(Rectangle(3, 2, 2), HUGE), "not contained"),
+    "translation_weight": (lambda: translation_weight(Rectangle(3, 2, 2), HUGE), "not contained"),
+    "transpose_weight": (lambda: transpose_weight(Rectangle(3, 2, 2), (0,) * 50_000), "0/1"),
+    "document index": (lambda: _read(index=HUGE + (0,)), "has a zero part"),
+    "document window order": (
+        lambda: ExpansionDocument.from_dict({"k": 999, "index": [], "terms": [IDENTITY_TERM] * 2}),
+        "does not follow",
+    ),
+    "document word": (lambda: _read(word=(1,) * 100_000), "is not reduced"),
+}
+
+
+@pytest.mark.parametrize("place", list(ECHOES))
+def test_every_echo_of_an_outside_input_is_clipped(place):
+    call, message = ECHOES[place]
+    with pytest.raises(ValueError, match=message) as raised:
+        call()
+    assert len(str(raised.value)) < 300
 
 
 @pytest.mark.parametrize("k", [0, True, 2.0])

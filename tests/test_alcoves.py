@@ -1,14 +1,11 @@
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from pathlib import Path
 
 import pytest
 
+from kschur import alcoves
 from kschur.affine import AffinePermutation, peel_descents
 from kschur.alcoves import (
     act,
@@ -471,40 +468,14 @@ def test_walk_refuses_a_word_that_is_not_reduced(monkeypatch):
         pseudo_translation((1, 0, 0))
 
 
-# the walk replaced by one that lands one letter off its answer, on
-# each side in turn: the centroid certificate must refuse every one
-NEIGHBOURING_WALKS = """
-from kschur import alcoves
-from kschur.reports import IdentityError
-
-walk = alcoves._walk
-
-
-def neighbour(p, d):
-    w, word = walk(p, d)
-    return w.right_mult(i), word
-
-
-alcoves._walk = neighbour
-for i in range(5):
-    try:
-        print(alcoves.pseudo_translation((1, 1, 0, 0, 0)))
-    except IdentityError as exc:
-        print("IdentityError:", exc)
-"""
-
-
 @pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_pseudo_translation_rejects_a_neighbouring_walk(flags):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, *flags, "-c", NEIGHBOURING_WALKS],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    assert len(lines) == 5 and all(
-        line.startswith("IdentityError: alcove of") for line in lines
-    ), done.stdout
+def test_pseudo_translation_rejects_a_neighbouring_walk(monkeypatch, compiled, flags):
+    # the walk replaced by one that lands one letter off its answer, on
+    # each side in turn: the centroid certificate must refuse every one,
+    # in the module as imported and as python -O compiles it
+    module = compiled(alcoves, flags)
+    walk = module._walk
+    for i in range(5):
+        monkeypatch.setattr(module, "_walk", lambda q, d: (walk(q, d)[0].right_mult(i), ()))
+        with pytest.raises(IdentityError, match="alcove of"):
+            module.pseudo_translation((1, 1, 0, 0, 0))

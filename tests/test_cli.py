@@ -991,6 +991,33 @@ def test_cache_term_of_another_degree_recomputes(tmp_path, capsys, monkeypatch):
     assert cache.get(4, lam) == doc
 
 
+def _far_term():
+    """u(w) for a w of length 40,000 at k = 2, with its reduced word."""
+    w = AffinePermutation(2, (-29_999, 2, 30_003))
+    return {"window": list(w.window), "word": list(w.reduced_word()), "coeff": 1}
+
+
+# (index, terms) of a file at the key (2, (2, 1)) whose warning echoes a huge input
+HUGE_ENTRIES = {
+    "unreduced word": lambda: ([2, 1], [{"window": [2, 1, 3], "word": [1] * 100_000, "coeff": 1}]),
+    "word of another degree": lambda: ([2, 1], [_far_term()]),
+    "another key": lambda: ([1] * 50_000, []),
+}
+
+
+@pytest.mark.parametrize("entry", list(HUGE_ENTRIES))
+def test_cache_warning_echoes_a_huge_entry_clipped(tmp_path, capsys, entry):
+    index, terms = HUGE_ENTRIES[entry]()
+    cache = ExpansionCache(tmp_path)
+    path = cache.file(2, (2, 1))
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps({"k": 2, "index": index, "terms": terms}))
+    assert cache.get(2, (2, 1)) is None
+    (line,) = capsys.readouterr().err.splitlines()
+    head = f"warning: ignoring corrupt cache entry {path}: "
+    assert line.startswith(head) and len(line) - len(head) < 300
+
+
 def test_cache_rotation_is_the_dynkin_rotation_of_each_window():
     # the cache checks its terms with affine.rotated(window, 1)
     rng = random.Random(5)

@@ -257,11 +257,16 @@ def test_core_actions_reject_a_non_partition(parts, message):
             act()
 
 
-@pytest.mark.parametrize("k", [-1, 0, True])
+@pytest.mark.parametrize("k", [-1, 0, True, 2.0])
 def test_core_functions_reject_a_rank_below_one_or_not_an_int(k):
     # a rank below 1 names no affine group, and at k = -1 content and the
-    # reading words would divide by k + 1 = 0
+    # reading words would divide by k + 1 = 0; unchecked, s_0 on () at
+    # k = 0 raises IdentityError, a failed theorem, for a bad argument
     for call in (
+        lambda: s_action((), 0, k),
+        lambda: u_action((), 0, k),
+        lambda: nilcoxeter.AlgebraElement(k),
+        lambda: nilcoxeter.AlgebraElement.zero(k),
         lambda: is_core((5, 3), k),
         lambda: core_to_bounded((5, 3), k),
         lambda: bounded_to_core((), k),

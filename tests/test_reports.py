@@ -1,8 +1,37 @@
+import ast
 import time
+from pathlib import Path
 
 import pytest
 
 from kschur.reports import Check, Report, timed
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kschur"
+
+
+def optimized_away(tree):
+    """The nodes of a module that python -O changes: an assert, which it
+    drops, and a read of __debug__ or sys.flags.optimize, which it flips."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            yield node
+        elif isinstance(node, ast.Name) and node.id == "__debug__":
+            yield node
+        elif isinstance(node, ast.Attribute) and ast.unparse(node).endswith("flags.optimize"):
+            yield node
+
+
+def test_python_O_changes_nothing_under_the_package():
+    # every identity check raises IdentityError, never asserts, so that it
+    # also runs under python -O; this is the one proof of that
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert PACKAGE / "reports.py" in modules
+    found = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+        for path in modules
+        for node in optimized_away(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
 
 
 def test_timed_reports_what_run_returns_and_its_time():
