@@ -866,6 +866,43 @@ def test_one_parser_serves_every_call_without_leaking_state(capsys, tmp_path, mo
     assert run_cli(capsys, *lr_argv) == (0, "1\n", "")
 
 
+def test_the_import_compiles_every_pattern_a_parse_needs(monkeypatch):
+    # re's cache evicts after 512 patterns, and other code may have filled
+    # it with some of the parser's: empty it, then fill it as the import did
+    re.purge()
+    cli._compile_patterns(cli._PARSER)
+
+    # what re calls on a cache miss; the spy records and still compiles,
+    # and is gone before pytest's own hooks, which compile patterns too, run
+    compiler = re._compiler if sys.version_info >= (3, 11) else re.sre_compile
+    compile_pattern = compiler.compile
+    compiled = []
+
+    def spy(pattern, flags=0):
+        compiled.append(pattern)
+        return compile_pattern(pattern, flags)
+
+    fmt = ("--format", "json")
+    core_argvs = [
+        ("core", "--k", "4", *order)
+        for action, *args in (("act", "u1", "6,4,3,1"), ("to-core", "2,1"),
+                              ("to-bounded", "3,1"), ("word", "2,1"))
+        for order in ((action, *args), (*fmt, action, *args), (action, *args, *fmt))
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(compiler, "compile", spy)
+        for argv in (
+            ("kschur", "--k", "3", "--partition", "2,1"),
+            ("kschur", "--k", "3", "--partition", "2,1", *fmt, "--no-cache"),
+            ("rect", "--k", "4", "--rows", "3", "--formula", "x", *fmt),
+            ("verify", "--kmax", "5", "--suite", "main"),
+            *core_argvs,
+            ("lr", "--k", "4", "--lambda", "2,2,2", "--mu", "1", "--nu", "2,2,2,1"),
+        ):
+            cli._PARSER.parse_args(argv)
+    assert compiled == []
+
+
 def kschur_json(k, lam):
     return ExpansionDocument.from_element(lam, kschur(k, lam)).to_json()
 
