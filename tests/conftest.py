@@ -9,8 +9,11 @@ def compiled():
     """A loader of a package module as `python -O` would run it: with
     flags ["-O"] a fresh copy of the module's source compiled at
     optimize=1, which drops every `assert` and `if __debug__:` block, and
-    with flags [] the module as imported. A fault injected into the copy
-    with monkeypatch reaches only the copy's own functions."""
+    with flags [] the module as imported. The copy is a fresh execution
+    of the source, so every statement the import runs runs again (the
+    CLI's parser is built and its patterns compiled), while the modules
+    it imports stay shared. A fault injected into the copy with
+    monkeypatch reaches only the copy's own functions."""
 
     def load(module, flags):
         if not flags:

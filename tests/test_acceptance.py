@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, exact arithmetic throughout.
 
 Each criterion prints a PASS line with its timing; run with -s to see
-them, or execute this file directly for a standalone report.
+them.
 """
 
 import random
@@ -35,7 +35,6 @@ from kschur.rectangles import (
     by_windows,
     column_choice,
 )
-from kschur.reports import IdentityError
 
 TEN_WORDS_K4 = [
     (4, 3, 0, 4, 1, 0),
@@ -264,14 +263,3 @@ def test_criterion_10d_roundtrips():
     _report(10, "window, word, length round-trips on 1000 random elements",
             time.perf_counter() - start, 30.0)
 
-
-if __name__ == "__main__":
-    failures = 0
-    for name, fn in sorted(globals().items()):
-        if name.startswith("test_criterion"):
-            try:
-                fn()
-            except (AssertionError, IdentityError) as exc:
-                failures += 1
-                print(f"FAIL {name}: {exc}")
-    raise SystemExit(1 if failures else 0)

@@ -866,20 +866,21 @@ def test_one_parser_serves_every_call_without_leaking_state(capsys, tmp_path, mo
     assert run_cli(capsys, *lr_argv) == (0, "1\n", "")
 
 
-def test_the_import_compiles_every_pattern_a_parse_needs(monkeypatch):
+def test_the_import_compiles_every_pattern_a_parse_needs(monkeypatch, compiled):
     # re's cache evicts after 512 patterns, and other code may have filled
-    # it with some of the parser's: empty it, then fill it as the import did
+    # it with some of the parser's: empty it, then import the module afresh,
+    # so that only the import itself fills it
     re.purge()
-    cli._compile_patterns(cli._PARSER)
+    fresh = compiled(cli, ["-O"])
 
     # what re calls on a cache miss; the spy records and still compiles,
     # and is gone before pytest's own hooks, which compile patterns too, run
     compiler = re._compiler if sys.version_info >= (3, 11) else re.sre_compile
     compile_pattern = compiler.compile
-    compiled = []
+    recorded = []
 
     def spy(pattern, flags=0):
-        compiled.append(pattern)
+        recorded.append(pattern)
         return compile_pattern(pattern, flags)
 
     fmt = ("--format", "json")
@@ -899,8 +900,8 @@ def test_the_import_compiles_every_pattern_a_parse_needs(monkeypatch):
             *core_argvs,
             ("lr", "--k", "4", "--lambda", "2,2,2", "--mu", "1", "--nu", "2,2,2,1"),
         ):
-            cli._PARSER.parse_args(argv)
-    assert compiled == []
+            fresh._PARSER.parse_args(argv)
+    assert recorded == []
 
 
 def kschur_json(k, lam):
