@@ -98,22 +98,26 @@ def parse_bounded(text: str, k: int) -> tuple[int, ...]:
     if not cores.is_k_bounded(parts, k):
         raise UsageError(f"partition {cores.clip(parts)} is not {k}-bounded")
     if sum(parts) > SIZE_CEILING:
-        raise UsageError(f"partition size must be at most {SIZE_CEILING}, got {sum(parts)}")
+        raise UsageError(
+            f"partition size must be at most {SIZE_CEILING}, got {cores.clip(sum(parts))}"
+        )
     return parts
 
 
 def parse_core(text: str, k: int) -> tuple[int, ...]:
     parts = parse_partition(text)
     if sum(parts) > CORE_SIZE_CEILING:
-        raise UsageError(f"core size must be at most {CORE_SIZE_CEILING}, got {sum(parts)}")
+        raise UsageError(
+            f"core size must be at most {CORE_SIZE_CEILING}, got {cores.clip(sum(parts))}"
+        )
     if not cores.is_core(parts, k):
-        raise UsageError(f"{parts} is not a {k + 1}-core")
+        raise UsageError(f"{cores.clip(parts)} is not a {k + 1}-core")
     return parts
 
 
 def check_k(k: int, ceiling: int) -> None:
     if k > ceiling:
-        raise UsageError(f"k must be at most {ceiling}, got {k}")
+        raise UsageError(f"k must be at most {ceiling}, got {cores.clip(k)}")
 
 
 def _emit_document(doc: ExpansionDocument, fmt: str) -> None:
@@ -144,7 +148,7 @@ _FORMULAS = {
 def cmd_rect(args: argparse.Namespace) -> int:
     check_k(args.k, RECT_K_CEILING)
     if not 1 <= args.rows <= args.k:
-        raise UsageError(f"rows must be in 1..{args.k}, got {args.rows}")
+        raise UsageError(f"rows must be in 1..{args.k}, got {cores.clip(args.rows)}")
     rect = Rectangle.with_rows(args.k, args.rows)
     names = _FORMULAS if args.formula == "all" else [args.formula]
     elements = {name: _FORMULAS[name](rect) for name in names}
@@ -197,7 +201,7 @@ _SUITES: dict[str, Callable[[int], Iterable[Report]]] = {
 def cmd_verify(args: argparse.Namespace) -> int:
     kmax = args.kmax
     if not 1 <= kmax <= KMAX_CEILING:
-        raise UsageError(f"kmax must be in 1..{KMAX_CEILING}, got {kmax}")
+        raise UsageError(f"kmax must be in 1..{KMAX_CEILING}, got {cores.clip(kmax)}")
     names = _SUITES if args.suite == "all" else [args.suite]
     sweeps = (sweep for name in names for sweep in _SUITES[name](kmax))
     report = Report(tuple(check for sweep in sweeps for check in sweep.checks))
@@ -244,7 +248,7 @@ def cmd_core(args: argparse.Namespace) -> int:
             )
         for _, i in chain:
             if not 0 <= i <= k:
-                raise UsageError(f"generator index {i} out of range 0..{k}")
+                raise UsageError(f"generator index {cores.clip(i)} out of range 0..{k}")
         emit(cores._apply_letters(parse_core(args.args[1], k), chain, k))
     elif args.action == "to-core":
         emit(cores.bounded_to_core(parse_bounded(args.args[0], k), k))

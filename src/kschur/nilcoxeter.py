@@ -29,6 +29,7 @@ from .affine import (
     AffinePermutation,
     _check_rank,
     _index,
+    _ints,
     clip,
     fold_reduced,
     fold_reduced_left,
@@ -74,7 +75,8 @@ class AlgebraElement:
 
     Immutable: operations return new elements.  Terms are keyed by window
     tuple; terms with coefficient zero are never stored.  The reduced words
-    of the terms are read on first use and kept (see `_words`).
+    of the terms are read on first use and kept (see `_words`).  The
+    constructor refuses a coefficient that is not an int (`affine._ints`).
     """
 
     __slots__ = ("k", "_terms", "_reduced")
@@ -85,7 +87,8 @@ class AlgebraElement:
         terms: Union[Mapping[AffinePermutation, int], Iterable[tuple[AffinePermutation, int]]] = (),
     ):
         _check_rank(k)
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = tuple(terms.items() if isinstance(terms, Mapping) else terms)
+        _ints((c for _, c in items), "coefficients")
         acc: dict[tuple[int, ...], int] = {}
         for w, c in items:
             if w.k != k:

@@ -86,6 +86,7 @@ OUTSIDE_INTEGERS = {
     "document index": lambda x: _read(index=(x,)),
     "weight": lambda x: pseudo_translation((x, 0, 0)),
     "rectangle direction": lambda x: transpose_weight(Rectangle(3, 2, 2), (x, 1, 0, 0)),
+    "element coefficient": lambda x: AlgebraElement(2, [(AffinePermutation.identity(2), x)]),
 }
 
 

@@ -631,6 +631,23 @@ def test_pieri_step_rejects_bad_strip(monkeypatch, lam, rest, fake):
     nilcoxeter.clear_memo()
 
 
+def test_solve_rejects_term_after_lam(monkeypatch):
+    # h_2 s_1 = s_21 + s_3 at k=3; with the solve of s_3 faked to zero the
+    # step subtracts nothing and leaves s_21 + s_3, which only the
+    # certificate of the result can refuse
+    nilcoxeter.clear_memo()
+    real = nilcoxeter._solve
+    zero = AlgebraElement.zero(3)
+    monkeypatch.setattr(
+        nilcoxeter, "_solve", lambda k, lam: zero if (k, lam) == (3, (3,)) else real(k, lam)
+    )
+    excess = r"\(2, 1\) at k=3: coefficient minus delta on w_nu is \{\(3,\): 1\}"
+    with pytest.raises(IdentityError, match=excess):
+        kschur(3, (2, 1))
+    monkeypatch.undo()  # a patched _solve has no cache_clear
+    nilcoxeter.clear_memo()
+
+
 def triangular_solve(k, lam, memo):
     """The k-Schur function of lam and its h-expansion by peeling h_lam,
     the former solve, kept as an oracle: h_lam is s_lam plus c times s_nu
